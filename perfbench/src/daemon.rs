@@ -8,12 +8,11 @@ use crate::inproc::{counters_repeat, trace_inputs, ROUNDS};
 use crate::ladder::{Ladder, Search};
 use crate::layers::{per_layer, InProc, Service};
 use crate::pipeline::{Env, Tracer};
-use crate::stats::{median, proc_status_mb, quantile, EndToEnd};
+use crate::stats::{median, proc_status_mb, quantile, setup_figure, setup_support, EndToEnd};
 use crate::Outcome;
 use flowdroid_service::json::{self, Json};
 use flowdroid_service::{AnalyzeRequest, Priority, Request};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -34,6 +33,18 @@ const LADDER: Ladder = Ladder {
 
 /// Percent of jobs that are new apps; the rest repeat suite apps.
 const NEW_PERCENT: u64 = 15;
+/// Daemons spawned for the set-up figure in an untraced run, per batch:
+/// one batch before the run and one after each block of every round,
+/// so the samples span the run.
+const SETUP_BATCH: usize = 4;
+/// The run reports the lower quintile of its set-up samples. The fastest
+/// daemon spawns are rare lucky ones, whose level varied more between
+/// runs than the lower quintile did (`RECORD.json`).
+const SETUP_QUANTILE: f64 = 0.2;
+/// Jobs in one step of the ladder search, whatever its rate: the run's
+/// job list, and with it the daemon's summary store and memory, is then
+/// the same for a seed however the search goes.
+const LADDER_STEP_JOBS: u64 = 110;
 /// A reply slower than this counts as a failed (timed-out) job.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -116,31 +127,20 @@ fn suite() -> Vec<(String, usize)> {
     apps
 }
 
-/// One line-delimited JSON connection to the daemon: `unix:<path>` or
-/// a TCP address.
+/// One line-delimited JSON connection to the daemon's Unix socket.
 struct Conn {
-    reader: BufReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
 }
 
 impl Conn {
-    fn connect(addr: &str) -> io::Result<Conn> {
-        if let Some(path) = addr.strip_prefix("unix:") {
-            let s = UnixStream::connect(path)?;
-            s.set_read_timeout(Some(REPLY_TIMEOUT))?;
-            Ok(Conn {
-                reader: BufReader::new(Box::new(s.try_clone()?)),
-                writer: Box::new(s),
-            })
-        } else {
-            let s = TcpStream::connect(addr)?;
-            s.set_nodelay(true)?;
-            s.set_read_timeout(Some(REPLY_TIMEOUT))?;
-            Ok(Conn {
-                reader: BufReader::new(Box::new(s.try_clone()?)),
-                writer: Box::new(s),
-            })
-        }
+    fn connect(path: &Path) -> io::Result<Conn> {
+        let s = UnixStream::connect(path)?;
+        s.set_read_timeout(Some(REPLY_TIMEOUT))?;
+        Ok(Conn {
+            reader: BufReader::new(s.try_clone()?),
+            writer: s,
+        })
     }
 
     fn send(&mut self, req: &Request) -> io::Result<()> {
@@ -168,7 +168,7 @@ impl Conn {
 /// did not shut down, so no error path leaves a daemon behind.
 struct Daemon {
     child: Child,
-    addr: String,
+    socket: PathBuf,
     drain: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -184,60 +184,56 @@ impl Drop for Daemon {
 }
 
 impl Daemon {
-    /// Spawns the daemon in `dir` (which holds `platform.fdps` and
-    /// `apps/`), listening on `d.sock` there or, with `tcp`, on an
-    /// ephemeral localhost port. Returns it with the seconds from spawn
-    /// to its first answered `stats` request.
-    fn spawn(flowdroid: &Path, dir: &Path, cache: &str, tcp: bool) -> io::Result<(Daemon, f64)> {
+    /// Spawns the daemon on `dir` (which holds `platform.fdps` and
+    /// `apps/`), with a fresh summary cache `<name>/` and listening on
+    /// `<name>.sock` there. `dir` is relative to the working directory
+    /// the daemon inherits, so the socket path stays short; no working
+    /// directory is set for the child, which lets it be spawned without
+    /// a fork of this process. Returns it with the seconds from spawn to
+    /// its first answered `stats` request.
+    fn spawn(flowdroid: &Path, dir: &Path, name: &str) -> io::Result<(Daemon, f64)> {
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let listen = if tcp { "127.0.0.1:0" } else { "unix:d.sock" };
-        let _ = std::fs::remove_file(dir.join("d.sock"));
+        let socket = dir.join(format!("{name}.sock"));
+        let _ = std::fs::remove_file(&socket);
         let start = Instant::now();
         let mut child = Command::new(flowdroid)
-            .current_dir(dir)
             .arg("serve")
-            .args(["--listen", listen, "--workers", &workers.to_string()])
-            .args([
-                "--summary-cache",
-                cache,
-                "--platform-snapshot",
-                "platform.fdps",
-            ])
-            .args(["--allow-apps", "apps"])
+            .args(["--listen", &format!("unix:{}", socket.display())])
+            .args(["--workers", &workers.to_string()])
+            .arg("--summary-cache")
+            .arg(dir.join(name))
+            .arg("--platform-snapshot")
+            .arg(dir.join("platform.fdps"))
+            .arg("--allow-apps")
+            .arg(dir.join("apps"))
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
-            .stderr(std::fs::File::create(dir.join(format!("{cache}.log")))?)
+            .stderr(std::fs::File::create(dir.join(format!("{name}.log")))?)
             .spawn()?;
         let mut out = BufReader::new(child.stdout.take().expect("stdout is piped"));
         let ready = (|| {
             let mut first = String::new();
             out.read_line(&mut first)?;
-            let printed = first.trim().strip_prefix("listening on ").ok_or_else(|| {
-                io::Error::other(format!("daemon did not start: `{}`", first.trim()))
-            })?;
-            // The socket path is relative to the daemon's directory.
-            let addr = if tcp {
-                printed.to_string()
-            } else {
-                format!("unix:{}", dir.join("d.sock").display())
-            };
-            let mut c = Conn::connect(&addr)?;
+            if !first.starts_with("listening on ") {
+                return Err(io::Error::other(format!(
+                    "daemon did not start: `{}`",
+                    first.trim()
+                )));
+            }
+            let mut c = Conn::connect(&socket)?;
             c.send(&Request::Stats)?;
             let (reply, _) = c.recv()?;
             if reply.str_field("type") != Some("stats") {
                 return Err(io::Error::other("first stats request was not answered"));
             }
-            Ok(addr)
+            Ok(())
         })();
         let secs = start.elapsed().as_secs_f64();
-        let addr = match ready {
-            Ok(addr) => addr,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
-        };
+        if let Err(e) = ready {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(e);
+        }
         // Keep the pipe drained so the daemon never blocks on stdout.
         let drain = std::thread::spawn(move || {
             let _ = io::copy(&mut out, &mut io::sink());
@@ -245,7 +241,7 @@ impl Daemon {
         Ok((
             Daemon {
                 child,
-                addr,
+                socket,
                 drain: Some(drain),
             },
             secs,
@@ -256,7 +252,7 @@ impl Daemon {
     /// daemon still running afterwards is killed and reported.
     fn shutdown(mut self) -> Result<(), String> {
         // `Drop` reaps the child and joins the drain thread afterwards.
-        let reply = Conn::connect(&self.addr).and_then(|mut c| {
+        let reply = Conn::connect(&self.socket).and_then(|mut c| {
             c.send(&Request::Shutdown)?;
             c.recv()
         });
@@ -366,7 +362,7 @@ fn ms_since(origin: Instant) -> f64 {
 /// due `j / rate` after the start), or closed loop when `rate` is None.
 /// Record times are ms since `epoch`, shared by all phases of a run.
 fn run_phase(
-    addr: &str,
+    socket: &Path,
     jobs: &[Job],
     rate: Option<f64>,
     conns: usize,
@@ -378,7 +374,7 @@ fn run_phase(
     std::thread::scope(|s| {
         for _ in 0..conns {
             s.spawn(|| {
-                let mut conn = Conn::connect(addr).ok();
+                let mut conn = Conn::connect(socket).ok();
                 loop {
                     let j = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(j) else { break };
@@ -422,7 +418,7 @@ fn run_phase(
                     if let Err(e) = fine {
                         eprintln!("job {} failed: {e}", job.app);
                         rec.refused = true;
-                        conn = Conn::connect(addr).ok();
+                        conn = Conn::connect(socket).ok();
                     }
                     records
                         .lock()
@@ -518,8 +514,8 @@ fn run_in(
     let io = |e: io::Error| e.to_string();
     std::fs::create_dir_all(root.join("apps")).map_err(io)?;
     let status = Command::new(flowdroid)
-        .current_dir(root)
-        .args(["snapshot", "platform.fdps"])
+        .arg("snapshot")
+        .arg(root.join("platform.fdps"))
         .stdout(Stdio::null())
         .status()
         .map_err(|e| format!("{}: {e}", flowdroid.display()))?;
@@ -528,30 +524,27 @@ fn run_in(
     }
     let conns = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // Set-up: spawn to first answered `stats`, each time with fresh
-    // directories; the last daemon serves the run.
-    let spawns = if trace { 1 } else { 11 };
+    // Set-up: spawn to first answered `stats`, each daemon with fresh
+    // directories. The serving daemon is one sample; untraced runs add
+    // batches of daemons that are shut down again at once.
     let mut setup = Vec::new();
-    let mut daemon = None;
-    for k in 0..spawns {
-        let (d, secs) = Daemon::spawn(flowdroid, root, &format!("cache{k}"), false).map_err(io)?;
-        setup.push(secs);
-        if k + 1 < spawns {
+    let mut spawned = 0usize;
+    let batch = if trace { 0 } else { SETUP_BATCH };
+    let mut sample_setup = |setup: &mut Vec<f64>| -> Result<(), String> {
+        for _ in 0..batch {
+            let (d, secs) =
+                Daemon::spawn(flowdroid, root, &format!("setup{spawned}")).map_err(io)?;
+            spawned += 1;
+            setup.push(secs);
             d.shutdown()?;
-        } else {
-            daemon = Some(d);
         }
-    }
-    let daemon = daemon.expect("at least one spawn");
-    eprintln!(
-        "daemon-mix: set-up samples (ms): {:?}",
-        setup
-            .iter()
-            .map(|s| (s * 1e4).round() / 10.0)
-            .collect::<Vec<_>>()
-    );
+        Ok(())
+    };
+    sample_setup(&mut setup)?;
+    let (daemon, secs) = Daemon::spawn(flowdroid, root, "serve").map_err(io)?;
+    setup.push(secs);
     let pid = daemon.child.id();
-    let addr = daemon.addr.clone();
+    let socket = daemon.socket.clone();
 
     let mut mix = Mix {
         seed,
@@ -577,7 +570,7 @@ fn run_in(
             priority: Priority::Normal,
         })
         .collect();
-    let (records, _) = run_phase(&addr, &warm, None, conns, epoch);
+    let (records, _) = run_phase(&socket, &warm, None, conns, epoch);
     all.extend(records);
     let rss_base = proc_status_mb(Some(pid), "VmRSS").unwrap_or(0.0);
 
@@ -589,28 +582,29 @@ fn run_in(
     let mut e2e = EndToEnd::default();
     let mut timed: Vec<Record> = Vec::new();
     let mut search = Search::new(&LADDER);
-    let mut closed_loop = Vec::new();
     for _ in 0..ROUNDS {
         let start = all.len();
         let jobs = mix.jobs((round_s * 0.1 * 150.0) as u64).map_err(io)?;
-        let (sat, wall) = run_phase(&addr, &jobs, None, conns, epoch);
-        closed_loop.push(sat.len() as f64 / wall);
-        all.extend(sat);
-        let mut open = |rate: f64, secs: f64| -> Result<(Vec<Record>, f64), String> {
-            let jobs = mix.jobs((rate * secs).ceil() as u64).map_err(io)?;
-            let (records, wall) = run_phase(&addr, &jobs, Some(rate), conns, epoch);
-            all.extend(records.iter().cloned());
-            Ok((records, jobs.len() as f64 / wall))
-        };
+        let (closed, _) = run_phase(&socket, &jobs, None, conns, epoch);
+        all.extend(closed);
+        sample_setup(&mut setup)?;
         for (rate, pool) in [(RATE_LO, &mut e2e.lo_ms), (RATE_HI, &mut e2e.hi_ms)] {
-            let (records, _) = open(rate, round_s * 0.35)?;
+            let jobs = mix
+                .jobs((rate * round_s * 0.35).ceil() as u64)
+                .map_err(io)?;
+            let (records, _) = run_phase(&socket, &jobs, Some(rate), conns, epoch);
+            all.extend(records.iter().cloned());
             pool.extend(records.iter().map(Record::latency));
             timed.extend(records);
+            sample_setup(&mut setup)?;
         }
         for _ in 0..2 {
             let Some(rung) = search.next() else { break };
             let rate = LADDER.rate(rung);
-            let (records, achieved) = open(rate, round_s * 0.1)?;
+            let jobs = mix.jobs(LADDER_STEP_JOBS).map_err(io)?;
+            let (records, wall) = run_phase(&socket, &jobs, Some(rate), conns, epoch);
+            all.extend(records.iter().cloned());
+            let achieved = jobs.len() as f64 / wall;
             let lat: Vec<f64> = records.iter().map(Record::latency).collect();
             search.record(rung, LADDER.meets(rate, &lat, achieved), achieved);
         }
@@ -626,14 +620,14 @@ fn run_in(
         e2e.apps_per_s
             .push(1e3 * ok.len() as f64 / ok.iter().sum::<f64>());
         e2e.verdict_ms.extend(ok);
+        sample_setup(&mut setup)?;
     }
+    eprintln!("daemon-mix: {}", setup_support(&setup));
     let max_rate = match search.best {
         Some(rate) => rate,
         None => {
-            let jobs = mix
-                .jobs((LADDER.base * round_s * 0.1).ceil() as u64)
-                .map_err(io)?;
-            let (records, wall) = run_phase(&addr, &jobs, Some(LADDER.base), conns, epoch);
+            let jobs = mix.jobs(LADDER_STEP_JOBS).map_err(io)?;
+            let (records, wall) = run_phase(&socket, &jobs, Some(LADDER.base), conns, epoch);
             all.extend(records);
             eprintln!("daemon-mix: no rung met the limit; reporting the lowest rung's rate");
             jobs.len() as f64 / wall
@@ -641,7 +635,7 @@ fn run_in(
     };
 
     // Final stats snapshot, memory, then a verified clean shutdown.
-    let (stats, stats_bytes) = Conn::connect(&addr)
+    let (stats, stats_bytes) = Conn::connect(&socket)
         .and_then(|mut c| {
             c.send(&Request::Stats)?;
             c.recv()
@@ -669,7 +663,8 @@ fn run_in(
 
     if !trace {
         return Ok(Outcome {
-            metrics: e2e.metrics(peak_rss_mb, median(&setup)),
+            metrics: EndToEnd::metrics(peak_rss_mb, setup_figure(&setup, SETUP_QUANTILE)),
+            also: e2e.load_metrics(max_rate),
             attempted,
             failed,
             correct: failed == 0,
@@ -704,25 +699,7 @@ fn run_in(
             .and_then(|t| t.u64_field("hits"))
             .unwrap_or(0) as f64
     };
-    // The same repeat job over TCP, one at a time: the reply stall the
-    // Unix-socket runs above do not see (README.md).
-    let (tcp, _) = Daemon::spawn(flowdroid, root, "cachetcp", true).map_err(io)?;
-    let (name, expect) = mix.suite[0].clone();
-    let probe: Vec<Job> = (0..30)
-        .map(|_| Job {
-            app: name.clone(),
-            expect,
-            kind: Kind::Repeat,
-            priority: Priority::Normal,
-        })
-        .collect();
-    let (records, _) = run_phase(&tcp.addr, &probe, None, 1, epoch);
-    tcp.shutdown()?;
-    let tcp_failed = records.iter().filter(|r| !r.ok).count() as u64;
-    let tcp_ms: Vec<f64> = records.iter().map(|r| r.done - r.sent).collect();
     let svc = Service {
-        closed_loop_jobs_per_s: median(&closed_loop),
-        tcp_reply_ms_p50: median(&tcp_ms),
         submit_ms_p99: quantile(&submit, 0.99),
         server_ms_p50: median(&server),
         queue_wait_ms_p99: quantile(&wait, 0.99),
@@ -745,19 +722,20 @@ fn run_in(
     let env = Env::new();
     let sample: Vec<Input> = mix.new_inputs.iter().take(300).cloned().collect();
     let mut tracer = Tracer::new();
-    let (counters, untraced_s, bad) = trace_inputs(&env, &mut sample.iter().cloned(), &mut tracer);
-    let repeat = counters_repeat(&env, &mut sample.iter().take(40).cloned(), &counters);
+    let traced = trace_inputs(&env, &mut sample.iter().cloned(), &mut tracer);
+    let repeat = counters_repeat(&env, &mut sample.iter().take(40).cloned(), &traced.counters);
     let layers = InProc {
         tracer: &tracer,
-        counters: &counters,
-        untraced_s,
+        counters: &traced.counters,
+        untraced_s: traced.untraced_s,
     };
-    let attempted = attempted + probe.len() as u64 + sample.len() as u64;
-    let failed = failed + tcp_failed + bad;
+    let attempted = attempted + traced.attempted;
+    let failed = failed + traced.failed;
     let mut m = e2e.load_metrics(max_rate);
     per_layer(&mut m, &layers, &svc, &lags, failed, attempted);
     Ok(Outcome {
         metrics: m,
+        also: Default::default(),
         attempted,
         failed,
         correct: failed == 0 && repeat,

@@ -55,9 +55,19 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
     p
 }
 
-/// The `market-scan` stream: per ten apps, four benign-like and three
-/// malware-like RQ3 apps and three ground-truth scenario apps, all
-/// distinct, in a fixed interleaving.
+/// Apps per cycle of the `market-scan` stream.
+pub const MARKET_CYCLE: u64 = 9;
+/// RQ3 apps per cycle, benign-like first: two benign-like to four
+/// malware-like, the paper's 500 Play apps to about 1,000 VirusShare
+/// samples. The other three apps of a cycle are ground-truth scenarios.
+const BENIGN_PER_CYCLE: u64 = 2;
+const RQ3_PER_CYCLE: u64 = 6;
+const TRUTH_PER_CYCLE: u64 = MARKET_CYCLE - RQ3_PER_CYCLE;
+
+/// The `market-scan` stream: per cycle of [`MARKET_CYCLE`] apps, RQ3
+/// benign-like and malware-like apps in the paper's 1:2 proportion and
+/// three ground-truth scenario apps, all distinct, in a fixed
+/// interleaving.
 pub struct MarketGen {
     seed: u64,
     truth: Option<(u64, Vec<TruthApp>)>,
@@ -70,9 +80,9 @@ impl MarketGen {
 
     /// App number `i` of the stream.
     pub fn input(&mut self, i: u64) -> Input {
-        let slot = i % 10;
-        if slot < 7 {
-            let profile = if slot < 4 {
+        let slot = i % MARKET_CYCLE;
+        if slot < RQ3_PER_CYCLE {
+            let profile = if slot < BENIGN_PER_CYCLE {
                 AppProfile::BenignLike
             } else {
                 AppProfile::MalwareLike
@@ -85,9 +95,9 @@ impl MarketGen {
                 expect: Expect::Count(g.seeded_leaks),
             };
         }
-        // Three truth apps per ten; each corpus batch holds one app per
-        // scenario (ten, the ICC category yielding a pair).
-        let t = (i / 10) * 3 + (slot - 7);
+        // Each corpus batch holds one app per scenario (ten, the ICC
+        // category yielding a pair).
+        let t = (i / MARKET_CYCLE) * TRUTH_PER_CYCLE + (slot - RQ3_PER_CYCLE);
         let (batch, within) = (t / 10, (t % 10) as usize);
         if self.truth.as_ref().map(|(b, _)| *b) != Some(batch) {
             let apps = generate_corpus(mix(self.seed, 1000 + batch), 1);

@@ -2,11 +2,11 @@
 //! analyses generated apps, first in a closed loop, then open loop at
 //! fixed rates.
 
-use crate::gen::{deep_input, seed_self_test, Input, MarketGen, DEEP_CYCLE};
+use crate::gen::{deep_input, seed_self_test, Input, MarketGen, DEEP_CYCLE, MARKET_CYCLE};
 use crate::ladder::{Ladder, Search};
 use crate::layers::{per_layer, InProc, Service};
 use crate::pipeline::{analyze, analyze_traced, Counters, Env, Tracer, Verdict};
-use crate::stats::{median, proc_status_mb, reset_peak_rss, EndToEnd};
+use crate::stats::{median, proc_status_mb, reset_peak_rss, setup_figure, setup_support, EndToEnd};
 use crate::Outcome;
 use std::time::{Duration, Instant};
 
@@ -43,6 +43,9 @@ pub const DEEP_FLOW: Plan = Plan {
     },
 };
 
+/// Verdicts of a run's first closed-loop block analysed a second time.
+const HEAD: usize = 20;
+
 /// Rounds per run. Every round measures each figure once; a run reports
 /// the median over its rounds, so a stall of the host that spans less
 /// than half the run cannot move it.
@@ -70,11 +73,11 @@ impl Stream {
         }
     }
 
-    /// Apps per cycle of the stream: ten market apps hold the fixed mix,
+    /// Apps per cycle of the stream: nine market apps hold the fixed mix,
     /// fifteen deep-flow programs every size once.
     fn cycle(&self) -> u64 {
         match self {
-            Stream::Market(_) => 10,
+            Stream::Market(_) => MARKET_CYCLE,
             Stream::Deep(_) => DEEP_CYCLE,
         }
     }
@@ -90,12 +93,21 @@ impl Stream {
     }
 }
 
+/// Set-up samples per batch: one batch before the run and one after
+/// each block of every round, so the samples span the run.
+const SETUP_BATCH: usize = 4;
+/// The run reports the fastest set-up sample. Set-up here is the same
+/// computation every time, in one process; its fastest repeat is its
+/// cost without interference from the host, and it repeated between
+/// runs better than the lower quintile did (`RECORD.json`).
+const SETUP_QUANTILE: f64 = 0.0;
+
 /// Platform snapshot build plus first-use initialisation: the first
-/// analysis in a fresh environment. Repeated; the median is reported.
-fn measure_setup(warm: &Input, times: usize) -> (Env, f64) {
-    let mut samples = Vec::new();
+/// analysis in a fresh environment, [`SETUP_BATCH`] times. Returns the
+/// last environment built.
+fn measure_setup(warm: &Input, samples: &mut Vec<f64>) -> Env {
     let mut env = None;
-    for _ in 0..times {
+    for _ in 0..SETUP_BATCH {
         let t = Instant::now();
         let e = Env::new();
         let v = analyze(&e, &warm.bytes);
@@ -105,7 +117,7 @@ fn measure_setup(warm: &Input, times: usize) -> (Env, f64) {
         }
         env = Some(e);
     }
-    (env.expect("at least one setup"), median(&samples))
+    env.expect("at least one setup")
 }
 
 /// One open-loop step at a fixed rate.
@@ -175,7 +187,8 @@ struct Measured {
 pub fn run(plan: &Plan, seed: u64, seconds: f64) -> Outcome {
     let r = measure(plan, seed, seconds);
     Outcome {
-        metrics: r.e2e.metrics(r.peak_rss_mb, r.setup_s),
+        metrics: EndToEnd::metrics(r.peak_rss_mb, r.setup_s),
+        also: r.e2e.load_metrics(r.max_rate),
         attempted: r.attempted,
         failed: r.failed,
         correct: r.failed == 0 && r.deterministic,
@@ -190,7 +203,8 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
     // The same small malware-like app for every workload and seed: the
     // first analysis initialises, it does not measure a deep chain.
     let warm = MarketGen::new(0).input(4);
-    let (env, setup_s) = measure_setup(&warm, 15);
+    let mut setup = Vec::new();
+    let env = measure_setup(&warm, &mut setup);
     let mut gen_lag_ms = Vec::new();
     let mut attempted = 0u64;
     let mut failed = 0u64;
@@ -208,7 +222,10 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
         let started = Instant::now();
         let first = next;
         let mut times = Vec::new();
-        let mut verdicts: Vec<Option<Verdict>> = Vec::new();
+        // Only the head is kept, for the re-run below: keeping every
+        // verdict would make the block's peak RSS grow with the number
+        // of apps the host got through.
+        let mut head: Vec<Option<Verdict>> = Vec::new();
         // Whole cycles only, so the block's mix is the same every round.
         while started.elapsed() < budget || !next.is_multiple_of(stream.cycle()) {
             let inp = stream.input(next);
@@ -230,7 +247,9 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
                     eprintln!("analysis error on {}: {e}", inp.name);
                 }
             }
-            verdicts.push(v.ok());
+            if head.len() < HEAD {
+                head.push(v.ok());
+            }
         }
         attempted += times.len() as u64;
         peak_rss_mb.push(proc_status_mb(None, "VmHWM").unwrap_or(0.0));
@@ -241,7 +260,7 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
         if round == 0 {
             // Same seed, same counts and reports: re-run the head.
             let mut again = Stream::new(plan, seed);
-            for (i, v) in verdicts.iter().enumerate().take(20) {
+            for (i, v) in head.iter().enumerate() {
                 let inp = again.input(first + i as u64);
                 if analyze(&env, &inp.bytes).ok() != *v {
                     eprintln!(
@@ -252,6 +271,7 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
                 }
             }
         }
+        measure_setup(&warm, &mut setup);
 
         // Open loop at the two reported rates, then two steps of the
         // ladder search.
@@ -264,7 +284,9 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
             step
         };
         e2e.lo_ms.extend(open(plan.lo, round_s * 0.2).latency_ms);
+        measure_setup(&warm, &mut setup);
         e2e.hi_ms.extend(open(plan.hi, round_s * 0.2).latency_ms);
+        measure_setup(&warm, &mut setup);
         for _ in 0..2 {
             let Some(rung) = search.next() else { break };
             let rate = plan.ladder.rate(rung);
@@ -272,6 +294,7 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
             let met = plan.ladder.meets(rate, &step.latency_ms, step.achieved);
             search.record(rung, met, step.achieved);
         }
+        measure_setup(&warm, &mut setup);
     }
     let max_rate = search.best.unwrap_or_else(|| {
         let rate = plan.ladder.rate(0);
@@ -285,6 +308,7 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
         );
         step.achieved
     });
+    eprintln!("{}: {}", plan.name, setup_support(&setup));
     eprintln!(
         "{}: {ROUNDS} rounds; {}; highest passing rung {} ({:.1}/s); per-round apps/s {:?}",
         plan.name,
@@ -298,7 +322,7 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
         e2e,
         max_rate,
         peak_rss_mb: median(&peak_rss_mb),
-        setup_s,
+        setup_s: setup_figure(&setup, SETUP_QUANTILE),
         gen_lag_ms,
         attempted,
         failed,
@@ -306,19 +330,32 @@ fn measure(plan: &Plan, seed: u64, seconds: f64) -> Measured {
     }
 }
 
+/// What [`trace_inputs`] saw.
+pub struct Traced {
+    /// Counters of each app whose traced analysis succeeded.
+    pub counters: Vec<Counters>,
+    /// Untraced seconds of the same apps.
+    pub untraced_s: f64,
+    /// Inputs analysed, and how many of them failed a check.
+    pub attempted: u64,
+    pub failed: u64,
+}
+
 /// Analyses each input untraced, traced and untraced again, checking
-/// that the verdicts are identical and match the known answer. Returns the
-/// counters of the traced apps, their untraced seconds and the number
-/// of failed checks.
+/// that the verdicts are identical and match the known answer.
 pub fn trace_inputs(
     env: &Env,
     inputs: &mut dyn Iterator<Item = Input>,
     tracer: &mut Tracer,
-) -> (Vec<Counters>, f64, u64) {
-    let mut counters = Vec::new();
-    let mut untraced_s = 0.0;
-    let mut bad = 0u64;
+) -> Traced {
+    let mut t = Traced {
+        counters: Vec::new(),
+        untraced_s: 0.0,
+        attempted: 0,
+        failed: 0,
+    };
     for (i, inp) in inputs.enumerate() {
+        t.attempted += 1;
         // Untraced, traced, untraced: the core's process-wide field-path
         // arena allocates only for paths it has not seen, so the traced
         // run always follows an untraced one of the same app and its
@@ -326,9 +363,9 @@ pub fn trace_inputs(
         // the runs before and after it, so warm caches favour neither
         // side of the tracing overhead.
         let mut timed = || {
-            let t = Instant::now();
+            let start = Instant::now();
             let v = analyze(env, &inp.bytes);
-            untraced_s += t.elapsed().as_secs_f64() / 2.0;
+            t.untraced_s += start.elapsed().as_secs_f64() / 2.0;
             v
         };
         let plain = timed();
@@ -341,31 +378,31 @@ pub fn trace_inputs(
             }
         });
         match (plain, traced) {
-            (Ok(p), Ok((t, c))) => {
-                if p != t {
+            (Ok(p), Ok((v, c))) => {
+                if p != v {
                     eprintln!("traced and untraced reports differ on {}", inp.name);
-                    bad += 1;
+                    t.failed += 1;
                 } else if !p.matches(&inp.expect) {
                     eprintln!(
                         "wrong verdict on {}: {:?}, expected {:?}",
                         inp.name, p.lines, inp.expect
                     );
-                    bad += 1;
+                    t.failed += 1;
                 }
-                counters.push(c);
+                t.counters.push(c);
             }
-            (p, t) => {
+            (p, v) => {
                 eprintln!(
                     "analysis error on {}: {:?} / {:?}",
                     inp.name,
                     p.err(),
-                    t.err()
+                    v.err()
                 );
-                bad += 1;
+                t.failed += 1;
             }
         }
     }
-    (counters, untraced_s, bad)
+    t
 }
 
 /// Whether a second traced pass over `inputs` repeats `first` exactly.
@@ -421,22 +458,26 @@ pub fn run_traced(plan: &Plan, seed: u64, seconds: f64, trace_path: &std::path::
             stream.input(next - 1)
         })
     });
-    let (counters, untraced_s, bad) = trace_inputs(env, &mut apps, &mut tracer);
+    let traced = trace_inputs(env, &mut apps, &mut tracer);
 
     // Deterministic counters: a second pass over the head of the stream.
     let mut again = Stream::new(plan, seed);
-    let head = (counters.len() as u64).min(40);
-    let repeat = counters_repeat(env, &mut (0..head).map(|i| again.input(i)), &counters);
+    let head = (traced.counters.len() as u64).min(40);
+    let repeat = counters_repeat(
+        env,
+        &mut (0..head).map(|i| again.input(i)),
+        &traced.counters,
+    );
 
     if let Err(e) = tracer.write(trace_path) {
         eprintln!("cannot write spans to {}: {e}", trace_path.display());
     }
-    let attempted = r.attempted + counters.len() as u64 + bad;
-    let failed = r.failed + bad;
+    let attempted = r.attempted + traced.attempted;
+    let failed = r.failed + traced.failed;
     let layers = InProc {
         tracer: &tracer,
-        counters: &counters,
-        untraced_s,
+        counters: &traced.counters,
+        untraced_s: traced.untraced_s,
     };
     let mut m = r.e2e.load_metrics(r.max_rate);
     per_layer(
@@ -449,6 +490,7 @@ pub fn run_traced(plan: &Plan, seed: u64, seconds: f64, trace_path: &std::path::
     );
     Outcome {
         metrics: m,
+        also: Default::default(),
         attempted,
         failed,
         correct: repeat && r.deterministic && failed == 0,

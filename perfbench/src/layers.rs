@@ -16,7 +16,6 @@ pub struct InProc<'a> {
 /// Daemon-side figures (client spans plus the final `stats` reply).
 #[derive(Default)]
 pub struct Service {
-    pub closed_loop_jobs_per_s: f64,
     pub submit_ms_p99: f64,
     pub server_ms_p50: f64,
     pub queue_wait_ms_p99: f64,
@@ -26,7 +25,6 @@ pub struct Service {
     pub rejected: f64,
     pub errors: f64,
     pub stats_reply_bytes: f64,
-    pub tcp_reply_ms_p50: f64,
     pub rss_growth_mb: f64,
     pub summaries_hit_ratio: f64,
     pub summaries_recorded: f64,
@@ -254,11 +252,6 @@ pub fn per_layer(
     m.put("store.tier_hits.local", svc.tier_local, "count");
     m.put("store.tier_hits.chunk", svc.tier_chunk, "count");
     m.put("cg_cache.hit_ratio", svc.cg_cache_hit_ratio, "ratio");
-    m.put(
-        "service.closed_loop_jobs_per_s",
-        svc.closed_loop_jobs_per_s,
-        "1/s",
-    );
     m.put("service.submit_ms_p99", svc.submit_ms_p99, "ms");
     m.put("service.server_ms_p50", svc.server_ms_p50, "ms");
     m.put("service.queue_wait_ms_p99", svc.queue_wait_ms_p99, "ms");
@@ -272,7 +265,6 @@ pub fn per_layer(
     m.put("service.rejected", svc.rejected, "count");
     m.put("service.errors", svc.errors, "count");
     m.put("service.stats_reply_bytes", svc.stats_reply_bytes, "bytes");
-    m.put("service.tcp_reply_ms_p50", svc.tcp_reply_ms_p50, "ms");
     m.put("service.rss_growth_mb", svc.rss_growth_mb, "MB");
     m.put("gen.lag_ms_p99", quantile(gen_lag_ms, 0.99), "ms");
     m.put(

@@ -28,6 +28,9 @@ static GLOBAL: alloc::Counting = alloc::Counting;
 /// What one run measured.
 pub struct Outcome {
     pub metrics: stats::Metrics,
+    /// Figures measured in the same run but not printed in its result
+    /// line; shown on stderr only.
+    pub also: stats::Metrics,
     pub attempted: u64,
     pub failed: u64,
     pub correct: bool,
@@ -113,6 +116,9 @@ fn main() {
     );
     for m in &out.metrics.0 {
         eprintln!("  {:<34} {:>14.4} {}", m.name, m.value, m.unit);
+    }
+    for m in &out.also.0 {
+        eprintln!("  ({:<32} {:>14.4} {})", m.name, m.value, m.unit);
     }
     println!(
         "{}",
