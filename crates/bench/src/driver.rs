@@ -27,13 +27,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// What kind of benchmark a corpus entry is.
+#[derive(Clone)]
 enum JobKind {
     /// An Android app (DroidBench / InsecureBank): full pipeline with
     /// lifecycle model and dummy main.
-    Droid(Box<BenchApp>),
+    Droid(Arc<BenchApp>),
     /// A SecuriBench Micro case: plain-Java analysis from an explicit
     /// `main` entry point.
-    Micro(Box<MicroCase>),
+    Micro(Arc<MicroCase>),
     /// An app supplied from outside the built-in suites — a generated
     /// ground-truth app or an on-disk directory / `.rpk` archive the
     /// daemon was allowed to serve. Carries the raw artifacts
@@ -49,6 +50,8 @@ enum JobKind {
 }
 
 /// One app (or micro case) of the corpus, with a unique stable name.
+/// Cloning a suite job shares its sources.
+#[derive(Clone)]
 pub struct CorpusJob {
     /// Unique name (`droidbench/...`, `securibench/<group>/...`,
     /// `insecurebank`); the corpus report is sorted by it.
@@ -60,20 +63,20 @@ pub struct CorpusJob {
 /// explicit name (the ground-truth harness names its generated apps by
 /// scenario and seed).
 pub fn droid_job(name: String, app: BenchApp) -> CorpusJob {
-    CorpusJob { name, kind: JobKind::Droid(Box::new(app)) }
+    CorpusJob { name, kind: JobKind::Droid(Arc::new(app)) }
 }
 
 /// Wraps a SecuriBench-style [`MicroCase`] as a corpus job named after
 /// the case.
 pub fn micro_job(case: MicroCase) -> CorpusJob {
-    CorpusJob { name: case.name.clone(), kind: JobKind::Micro(Box::new(case)) }
+    CorpusJob { name: case.name.clone(), kind: JobKind::Micro(Arc::new(case)) }
 }
 
 /// Wraps raw app artifacts (manifest, layouts, `jasm` code) as a corpus
 /// job. `name` MUST be unique per *content*: the demand-driven frontend
-/// caches the prepared SDEX image by job name for the process lifetime,
-/// so callers loading arbitrary on-disk apps must fold a content hash
-/// into the name (see the daemon's external-app loader).
+/// caches the prepared SDEX image by job name (in a process-wide LRU of
+/// 256 jobs), so callers loading arbitrary on-disk apps must fold a
+/// content hash into the name (see the daemon's external-app loader).
 pub fn external_job(
     name: String,
     manifest: String,
@@ -90,18 +93,18 @@ pub fn full_corpus() -> Vec<CorpusJob> {
     for app in all_apps() {
         jobs.push(CorpusJob {
             name: format!("droidbench/{:?}/{}", app.category, app.name),
-            kind: JobKind::Droid(Box::new(app)),
+            kind: JobKind::Droid(Arc::new(app)),
         });
     }
     jobs.push(CorpusJob {
         name: "insecurebank".to_string(),
-        kind: JobKind::Droid(Box::new(insecurebank::insecure_bank())),
+        kind: JobKind::Droid(Arc::new(insecurebank::insecure_bank())),
     });
     for group in Group::all() {
         for case in cases_in(group) {
             jobs.push(CorpusJob {
                 name: format!("securibench/{}/{}", group, case.name),
-                kind: JobKind::Micro(Box::new(case)),
+                kind: JobKind::Micro(Arc::new(case)),
             });
         }
     }
@@ -116,12 +119,16 @@ pub fn droidbench_corpus() -> Vec<CorpusJob> {
 /// Resolves a job by its corpus name (`droidbench/<Category>/<App>`,
 /// `securibench/<group>/<Case>`, `insecurebank`) or the synthetic
 /// `stress/<K>` chain (see [`stress_job`]). Returns `None` for unknown
-/// names.
+/// names. Corpus names resolve through an index built on first use.
 pub fn find_job(name: &str) -> Option<CorpusJob> {
+    static BY_NAME: OnceLock<FxHashMap<String, CorpusJob>> = OnceLock::new();
     if let Some(k) = name.strip_prefix("stress/") {
         return k.parse().ok().map(stress_job);
     }
-    full_corpus().into_iter().find(|j| j.name == name)
+    BY_NAME
+        .get_or_init(|| full_corpus().into_iter().map(|j| (j.name.clone(), j)).collect())
+        .get(name)
+        .cloned()
 }
 
 /// A synthetic straight-line stress app, `stress/<k>`: `k` string
@@ -159,7 +166,7 @@ pub fn stress_job(k: usize) -> CorpusJob {
         code,
         entry_class: "stress.Chain".to_string(),
     };
-    CorpusJob { name: format!("stress/{k}"), kind: JobKind::Micro(Box::new(case)) }
+    CorpusJob { name: format!("stress/{k}"), kind: JobKind::Micro(Arc::new(case)) }
 }
 
 /// The process-wide platform snapshot lazy runs start from: built once,
@@ -176,8 +183,8 @@ pub fn shared_platform_snapshot() -> &'static Arc<PlatformSnapshot> {
 /// code encoded as an SDEX image (so method bodies have a byte index to
 /// defer to) plus the non-code artifacts, parsed once and cloned per
 /// run. Corpus apps are authored in `jasm` text, which has no body
-/// index — this registry is what makes `bodies_skipped` possible on
-/// them.
+/// index — the registry of prepared jobs ([`prepared_for`]) is what
+/// makes `bodies_skipped` possible on them.
 enum Prepared {
     /// An Android app: everything [`App::from_archive_lazy`] would
     /// produce, split so the job program only pays for lazy SDEX decode.
@@ -211,18 +218,72 @@ fn app_fingerprint(platform_fingerprint: u64, sdex: &[u8]) -> u64 {
     h
 }
 
-/// Returns the cached [`PreparedJob`] form of `job`, encoding it on
-/// first use. Keyed by the job's unique name; preparation is
-/// deterministic, so a racing duplicate insert is harmless (first one
-/// wins).
-fn prepared_for(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Arc<PreparedJob> {
-    static REG: OnceLock<Mutex<FxHashMap<String, Arc<PreparedJob>>>> = OnceLock::new();
-    let reg = REG.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(p) = reg.lock().unwrap().get(&job.name) {
-        return p.clone();
+/// Capacity of the prepared-job registry: the same as the daemon's
+/// callgraph cache, so every app whose setup that cache keeps also keeps
+/// its prepared image.
+const PREPARED_CAP: usize = 256;
+
+/// A bounded LRU of [`PreparedJob`]s keyed by job name. Preparation is
+/// deterministic, so an evicted job prepared again yields the same
+/// image and fingerprint.
+struct PreparedLru {
+    cap: usize,
+    inner: Mutex<PreparedInner>,
+}
+
+#[derive(Default)]
+struct PreparedInner {
+    map: FxHashMap<String, (Arc<PreparedJob>, u64)>,
+    tick: u64,
+}
+
+impl PreparedLru {
+    fn new(cap: usize) -> Self {
+        PreparedLru { cap: cap.max(1), inner: Mutex::new(PreparedInner::default()) }
     }
-    let prepared = Arc::new(prepare(job, snapshot));
-    reg.lock().unwrap().entry(job.name.clone()).or_insert(prepared).clone()
+
+    /// Returns the registered form of `job`, preparing (outside the
+    /// lock) and registering it on a miss. A racing duplicate insert is
+    /// harmless: the first one wins.
+    fn get_or_prepare(&self, job: &CorpusJob, snapshot: &PlatformSnapshot) -> Arc<PreparedJob> {
+        let touch = |inner: &mut PreparedInner| {
+            inner.tick += 1;
+            inner.tick
+        };
+        {
+            let mut inner = self.inner.lock().unwrap();
+            let tick = touch(&mut inner);
+            if let Some((p, used)) = inner.map.get_mut(&job.name) {
+                *used = tick;
+                return Arc::clone(p);
+            }
+        }
+        let prepared = Arc::new(prepare(job, snapshot));
+        let mut inner = self.inner.lock().unwrap();
+        let tick = touch(&mut inner);
+        let (p, used) = inner.map.entry(job.name.clone()).or_insert((prepared, tick));
+        *used = tick;
+        let p = Arc::clone(p);
+        while inner.map.len() > self.cap {
+            // Smallest tick = least recently used; the entry just
+            // touched holds the largest tick, so it is never the victim.
+            let victim = inner
+                .map
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(name, _)| name.clone())
+                .expect("over-capacity map is non-empty");
+            inner.map.remove(&victim);
+        }
+        p
+    }
+}
+
+/// Returns the registered [`PreparedJob`] form of `job` from the
+/// process-wide registry, encoding it on first use.
+fn prepared_for(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Arc<PreparedJob> {
+    static REG: OnceLock<PreparedLru> = OnceLock::new();
+    REG.get_or_init(|| PreparedLru::new(PREPARED_CAP)).get_or_prepare(job, snapshot)
 }
 
 /// Parses a job's `jasm` text against a scratch platform program and
@@ -441,6 +502,20 @@ fn run_single_lazy_impl(
 ) -> AppRun {
     let start = Instant::now();
     let prepared = prepared_for(job, snapshot);
+    run_prepared(job, &prepared, config, snapshot, cg_cache, deep_clone, start)
+}
+
+/// Runs `job` from its prepared form; `start` is when the run began
+/// (before the registry lookup), so the total includes any preparation.
+fn run_prepared(
+    job: &CorpusJob,
+    prepared: &PreparedJob,
+    config: &InfoflowConfig,
+    snapshot: &PlatformSnapshot,
+    cg_cache: Option<&CgCache>,
+    deep_clone: bool,
+    start: Instant,
+) -> AppRun {
     let clone_start = Instant::now();
     let mut p = if deep_clone { snapshot.deep_program() } else { snapshot.overlay_program() };
     let platform_clone_us = u64::try_from(clone_start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -733,6 +808,35 @@ mod tests {
             assert_eq!(eager.bodies_materialized, 0);
             assert!(lazy.bodies_materialized > 0, "{} decoded nothing", job.name);
         }
+    }
+
+    #[test]
+    fn evicted_prepared_job_is_prepared_again_with_identical_report() {
+        let snapshot = shared_platform_snapshot();
+        let jobs: Vec<CorpusJob> = ["insecurebank", "stress/5", "stress/6"]
+            .into_iter()
+            .map(|name| find_job(name).expect("corpus job"))
+            .collect();
+        let lru = PreparedLru::new(2);
+        let first = lru.get_or_prepare(&jobs[0], snapshot);
+        let second = lru.get_or_prepare(&jobs[1], snapshot);
+        // Touch the first job, so the third evicts the second.
+        assert!(Arc::ptr_eq(&first, &lru.get_or_prepare(&jobs[0], snapshot)));
+        lru.get_or_prepare(&jobs[2], snapshot);
+        assert_eq!(lru.inner.lock().unwrap().map.len(), 2);
+        assert!(Arc::ptr_eq(&first, &lru.get_or_prepare(&jobs[0], snapshot)));
+        let again = lru.get_or_prepare(&jobs[1], snapshot);
+        assert!(!Arc::ptr_eq(&second, &again), "the evicted job was prepared again");
+        assert_eq!(second.fingerprint, again.fingerprint);
+
+        let config = InfoflowConfig::default().with_lazy_frontend(true);
+        let run = |p: &PreparedJob| {
+            run_prepared(&jobs[1], p, &config, snapshot, None, false, Instant::now())
+        };
+        let (before, after) = (run(&second), run(&again));
+        assert_eq!(before.report, after.report);
+        assert_eq!(before.forward_propagations, after.forward_propagations);
+        assert_eq!(after.report, run_single_lazy(&jobs[1], &config, snapshot, None).report);
     }
 
     #[test]

@@ -89,6 +89,8 @@ pub struct SummaryCacheStats {
 
 /// Per-method fingerprint info computed when the session opens.
 struct MethodInfo {
+    /// The method's full signature (its key in the store).
+    sig: String,
     /// Hash over the method's transitive callee closure.
     trans_hash: u64,
     /// Whether summaries of this method may be cached / replayed.
@@ -97,6 +99,8 @@ struct MethodInfo {
 
 /// Per-method facts from the first scan, before closures are formed.
 struct LocalInfo {
+    /// The method's full signature.
+    sig: String,
     /// Hash of the method's own body plus its resolved callee
     /// signatures.
     local_hash: u64,
@@ -125,8 +129,10 @@ pub(crate) struct SummaryCacheSession {
 }
 
 impl SummaryCacheSession {
-    /// Opens the store under `dir` and resolves every stored summary
-    /// that matches this program's fingerprints into lookup-ready form.
+    /// Opens the store under `dir` and resolves the stored summaries of
+    /// every reachable cacheable method whose fingerprint matches into
+    /// lookup-ready form. Only those methods are looked up, so the cost
+    /// grows with the app, not with the store.
     pub(crate) fn new(
         dir: &Path,
         icfg: &Icfg<'_>,
@@ -144,41 +150,47 @@ impl SummaryCacheSession {
         );
         let reachable = icfg.callgraph().reachable_methods();
 
-        // Pass 1: per-method body hash, purity, and resolved callees.
-        let mut local: FxHashMap<MethodId, LocalInfo> = FxHashMap::default();
-        for &m in reachable {
-            local.insert(m, scan_method(program, icfg, sources, m));
-        }
+        // Pass 1: per-method signature, body hash, purity, and resolved
+        // callees.
+        let local: FxHashMap<MethodId, LocalInfo> =
+            reachable.iter().map(|&m| (m, scan_method(program, icfg, sources, m))).collect();
 
         // Pass 2: transitive closure hash + cacheability per method.
-        let mut info: FxHashMap<MethodId, MethodInfo> = FxHashMap::default();
-        for &m in reachable {
-            info.insert(m, close_over(program, &local, m));
-        }
+        let closed: FxHashMap<MethodId, (u64, bool)> =
+            local.keys().map(|&m| (m, close_over(&local, m))).collect();
+        let info: FxHashMap<MethodId, MethodInfo> = local
+            .into_iter()
+            .map(|(m, li)| {
+                let (trans_hash, cacheable) = closed[&m];
+                (m, MethodInfo { sig: li.sig, trans_hash, cacheable })
+            })
+            .collect();
 
-        // Pass 3: resolve stored symbolic summaries against this
-        // program. Entries that no longer resolve (vanished classes,
-        // fields or statements) are skipped — they read as misses.
-        let mut sig_to_id: FxHashMap<String, MethodId> = FxHashMap::default();
-        for m in program.methods() {
-            sig_to_id.insert(program.signature(m.id()), m.id());
-        }
+        // Pass 3: resolve the stored symbolic summaries of each cacheable
+        // method against this program. Entries that no longer resolve
+        // (vanished classes, fields or statements) are skipped — they
+        // read as misses. Activation statements name their method by
+        // signature and resolve among the reachable methods only: the
+        // solvers create facts only at reachable statements, so an entry
+        // whose facts activate anywhere else can never be looked up.
+        let by_sig: FxHashMap<&str, MethodId> =
+            info.iter().map(|(&m, mi)| (mi.sig.as_str(), m)).collect();
+        let resolve = |sig: &str| by_sig.get(sig).copied();
         let mut resolved: FxHashMap<(MethodId, Fact), Vec<(StmtRef, Fact)>> =
             FxHashMap::default();
         let mut stale_methods: FxHashSet<MethodId> = FxHashSet::default();
         store.with_visible(|s| {
-            for (sig, ms) in s.iter() {
-                let Some(&m) = sig_to_id.get(sig) else { continue };
-                let Some(mi) = info.get(&m) else { continue };
+            for (&m, mi) in &info {
                 if !mi.cacheable {
                     continue;
                 }
+                let Some(ms) = s.get(&mi.sig) else { continue };
                 if ms.body_hash != mi.trans_hash {
                     stale_methods.insert(m);
                     continue;
                 }
-                'entries: for (entry, exits) in &ms.entries {
-                    let Some(entry) = sym_to_fact(program, &sig_to_id, entry) else {
+                'entries: for (entry, exits) in ms.entries() {
+                    let Some(entry) = sym_to_fact(program, &resolve, entry) else {
                         continue;
                     };
                     let mut out = Vec::with_capacity(exits.len());
@@ -187,7 +199,7 @@ impl SummaryCacheSession {
                         if !valid_stmt(program, m, idx) {
                             continue 'entries;
                         }
-                        let Some(f) = sym_to_fact(program, &sig_to_id, &s.fact) else {
+                        let Some(f) = sym_to_fact(program, &resolve, &s.fact) else {
                             continue 'entries;
                         };
                         out.push((StmtRef::new(m, idx), f));
@@ -255,7 +267,7 @@ impl SummaryCacheSession {
                     fact: fact_to_sym(program, f),
                 })
                 .collect();
-            self.store.record(&program.signature(m), mi.trans_hash, sym_entry, sym_exits);
+            self.store.record(&mi.sig, mi.trans_hash, sym_entry, sym_exits);
             self.recorded.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -323,7 +335,7 @@ fn scan_method(
         }
     }
     let local_hash = fxhash64(&(body_fingerprint(program, m), cg));
-    LocalInfo { local_hash, impure, callees }
+    LocalInfo { sig: program.signature(m), local_hash, impure, callees }
 }
 
 /// Transitive-closure hash and cacheability of one method. The closure
@@ -332,14 +344,10 @@ fn scan_method(
 /// discovery order. A callee outside the scanned set (should not
 /// happen — callees of reachable methods are reachable) disables
 /// caching defensively.
-fn close_over(
-    program: &Program,
-    local: &FxHashMap<MethodId, LocalInfo>,
-    m: MethodId,
-) -> MethodInfo {
+fn close_over(local: &FxHashMap<MethodId, LocalInfo>, m: MethodId) -> (u64, bool) {
     let mut seen: FxHashSet<MethodId> = FxHashSet::default();
     let mut stack = vec![m];
-    let mut items: Vec<(String, u64)> = Vec::new();
+    let mut items: Vec<(&str, u64)> = Vec::new();
     let mut cacheable = true;
     while let Some(cur) = stack.pop() {
         if !seen.insert(cur) {
@@ -352,11 +360,11 @@ fn close_over(
         if li.impure {
             cacheable = false;
         }
-        items.push((program.signature(cur), li.local_hash));
+        items.push((&li.sig, li.local_hash));
         stack.extend(li.callees.iter().copied());
     }
     items.sort();
-    MethodInfo { trans_hash: fxhash64(&items), cacheable }
+    (fxhash64(&items), cacheable)
 }
 
 fn valid_stmt(program: &Program, m: MethodId, idx: usize) -> bool {
@@ -400,7 +408,7 @@ fn fact_to_sym(program: &Program, f: &Fact) -> SymFact {
 
 fn sym_to_fact(
     program: &Program,
-    sig_to_id: &FxHashMap<String, MethodId>,
+    resolve: &dyn Fn(&str) -> Option<MethodId>,
     f: &SymFact,
 ) -> Option<Fact> {
     match f {
@@ -417,7 +425,7 @@ fn sym_to_fact(
             let activation = match activation {
                 None => None,
                 Some(s) => {
-                    let m = *sig_to_id.get(&s.method)?;
+                    let m = resolve(&s.method)?;
                     let idx = s.idx as usize;
                     if !valid_stmt(program, m, idx) {
                         return None;
@@ -476,8 +484,8 @@ mod tests {
         b.ret(None);
         let m = b.finish();
 
-        let mut sig_to_id: FxHashMap<String, MethodId> = FxHashMap::default();
-        sig_to_id.insert(p.signature(m), m);
+        let sig = p.signature(m);
+        let resolve = |s: &str| (s == sig).then_some(m);
 
         let act = StmtRef::new(m, 0);
         let cases = [
@@ -493,7 +501,7 @@ mod tests {
         ];
         for f in cases {
             let sym = fact_to_sym(&p, &f);
-            let back = sym_to_fact(&p, &sig_to_id, &sym).expect("resolvable");
+            let back = sym_to_fact(&p, &resolve, &sym).expect("resolvable");
             assert_eq!(back, f);
         }
         // Unresolvable symbols are rejected, not mangled.
@@ -506,13 +514,13 @@ mod tests {
             active: true,
             activation: None,
         };
-        assert!(sym_to_fact(&p, &sig_to_id, &missing).is_none());
+        assert!(sym_to_fact(&p, &resolve, &missing).is_none());
         let bad_activation = SymFact::Taint {
             ap: SymAp { base: SymBase::Local(0), fields: vec![], truncated: false },
             active: false,
             activation: Some(SymStmt { method: "<gone: void g()>".into(), idx: 0 }),
         };
-        assert!(sym_to_fact(&p, &sig_to_id, &bad_activation).is_none());
+        assert!(sym_to_fact(&p, &resolve, &bad_activation).is_none());
     }
 
     /// Builds the arena a property-test fact lives in. With `skew`, a
@@ -592,14 +600,14 @@ mod tests {
             let decoded =
                 flowdroid_summaries::SummaryStore::from_bytes(&store.to_bytes()).unwrap();
 
-            let mut sig_to_id: FxHashMap<String, MethodId> = FxHashMap::default();
-            sig_to_id.insert(pb.signature(mb), mb);
+            let sig_b = pb.signature(mb);
+            let resolve = |s: &str| (s == sig_b).then_some(mb);
             let (_, summaries) = decoded.iter().next().unwrap();
-            for (entry, exits) in &summaries.entries {
-                let back = sym_to_fact(&pb, &sig_to_id, entry).expect("entry resolves");
+            for (entry, exits) in summaries.entries() {
+                let back = sym_to_fact(&pb, &resolve, entry).expect("entry resolves");
                 prop_assert_eq!(&back, &expected_b);
                 for s in exits {
-                    let back = sym_to_fact(&pb, &sig_to_id, &s.fact).expect("exit resolves");
+                    let back = sym_to_fact(&pb, &resolve, &s.fact).expect("exit resolves");
                     prop_assert_eq!(&back, &expected_b);
                 }
             }

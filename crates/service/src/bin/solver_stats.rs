@@ -921,9 +921,13 @@ fn run_service_load(out_path: &str) {
     let p0 = tier_promotions();
     flowdroid_summaries::release_dir(&cache).expect("release store");
     flowdroid_summaries::clear_memory_tier(&cache);
-    let local_file = flowdroid_summaries::local_store_dir(&cache, "")
-        .join(flowdroid_summaries::STORE_FILE_NAME);
-    std::fs::remove_file(&local_file).expect("evict local store file");
+    // Every context of the default namespace keeps a local file there.
+    let local_dir = flowdroid_summaries::local_store_dir(&cache, "");
+    for entry in std::fs::read_dir(&local_dir).expect("list local store files").flatten() {
+        if entry.path().extension().is_some_and(|e| e == "fdss") {
+            std::fs::remove_file(entry.path()).expect("evict local store file");
+        }
+    }
     let warm_chunk = analyze(&addr, "insecurebank", &base_opts);
     let chunk_hits = tier_hits("chunk") - c0;
     let chunk_promotions = tier_promotions() - p0;

@@ -67,7 +67,7 @@ use flowdroid_bench::{find_job, run_single_lazy, CorpusJob};
 use flowdroid_core::{
     flush_summary_cache, AbortHandle, CgCache, InfoflowConfig, ProgressEvent, ProgressSink,
 };
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -213,6 +213,12 @@ struct JobSpec {
     namespace: String,
 }
 
+/// Finished jobs the job table keeps (and `stats` lists) besides the
+/// live ones; older finished jobs are retired and survive only in the
+/// running totals.
+const RECENT_FINISHED: usize = 32;
+
+/// A queued or running job.
 struct JobEntry {
     app: String,
     state: JobState,
@@ -225,12 +231,63 @@ struct JobEntry {
     /// worker takes it (even for skipped jobs) so the relay's channel
     /// disconnects once no more events can arrive.
     progress: Option<ProgressSink>,
-    result: Option<JobResult>,
+    /// The job's result slot: the worker takes it when the job starts
+    /// and sends the result to the waiting connection. A waiter that
+    /// hung up has dropped the receiver, so the send is simply lost.
+    reply: Option<mpsc::Sender<JobResult>>,
 }
 
+/// Running totals over every finished job: the aggregate fields of
+/// `stats`, kept as counters so they need no job history.
+#[derive(Default)]
+struct Totals {
+    completed: u64,
+    aborted: u64,
+    cancel_requests: u64,
+    summary_hits: u64,
+    summary_misses: u64,
+    summary_stale: u64,
+    summary_recorded: u64,
+    bodies_materialized: u64,
+    bodies_skipped: u64,
+    platform_clone_us: u64,
+    callgraph_cache_hits: u64,
+    callgraph_cache_misses: u64,
+    /// Scheduler counters summed over completed parallel jobs.
+    sched_pushed: u64,
+    sched_claims: u64,
+    sched_steals: u64,
+}
+
+impl Totals {
+    fn add(&mut self, r: &JobResult) {
+        self.completed += 1;
+        self.aborted += u64::from(r.aborted);
+        self.summary_hits += r.summary_hits;
+        self.summary_misses += r.summary_misses;
+        self.summary_stale += r.summary_stale;
+        self.summary_recorded += r.summary_recorded;
+        self.bodies_materialized += r.bodies_materialized;
+        self.bodies_skipped += r.bodies_skipped;
+        self.platform_clone_us += r.platform_clone_us;
+        self.callgraph_cache_hits += r.callgraph_cache_hits;
+        self.callgraph_cache_misses += r.callgraph_cache_misses;
+    }
+}
+
+/// The job table. Its size is bounded by the live jobs (at most the
+/// queue cap plus one per worker) and [`RECENT_FINISHED`], however many
+/// jobs the daemon has served.
 #[derive(Default)]
 struct Inner {
-    jobs: Vec<JobEntry>,
+    /// Queued and running jobs by id.
+    live: BTreeMap<u64, JobEntry>,
+    /// The `stats` entries of the last [`RECENT_FINISHED`] finished
+    /// jobs by id, oldest first.
+    finished: VecDeque<(u64, Json)>,
+    /// The highest job id handed out (ids are 1-based, never reused).
+    last_id: u64,
+    totals: Totals,
     shutting_down: bool,
     /// Set once a `shutdown` handler has written (or failed to write)
     /// its reply; [`Daemon::run`] must not return — and thus let the
@@ -242,15 +299,11 @@ struct Inner {
     denied: u64,
     /// Accepted submissions per priority lane.
     submitted: [u64; 3],
-    /// Scheduler counters summed over completed parallel jobs.
-    sched_pushed: u64,
-    sched_claims: u64,
-    sched_steals: u64,
 }
 
 struct Shared {
     inner: Mutex<Inner>,
-    /// Notified whenever a job reaches `Done`.
+    /// Notified whenever a job finishes (leaves the live table).
     done: Condvar,
     /// The admission queue feeding the worker pool.
     queue: PrioQueue,
@@ -388,10 +441,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
-    let idx = (id - 1) as usize;
-    let (abort, spec, app, queue_ms, progress, skip) = {
+    let (abort, spec, app, queue_ms, progress, reply, skip) = {
         let mut inner = shared.inner.lock().unwrap();
-        let e = &mut inner.jobs[idx];
+        let e = inner.live.get_mut(&id).expect("a queued job is in the job table");
         e.queue_ms = e.submitted.elapsed().as_millis() as u64;
         e.state = JobState::Running;
         // A cancel — or a deadline that already passed — while the job
@@ -399,7 +451,8 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
         let skip = e.abort.poll().is_some();
         // Take the streaming sink even when skipping: dropping it is
         // what tells the relay no more events can arrive.
-        (e.abort.clone(), e.spec.clone(), e.app.clone(), e.queue_ms, e.progress.take(), skip)
+        let progress = e.progress.take();
+        (e.abort.clone(), e.spec.clone(), e.app.clone(), e.queue_ms, progress, e.reply.take(), skip)
     };
     let mut sched = None;
     let result = if skip {
@@ -456,13 +509,37 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
     };
     let mut inner = shared.inner.lock().unwrap();
     if let Some(s) = sched {
-        inner.sched_pushed += s.pushed;
-        inner.sched_claims += s.claims;
-        inner.sched_steals += s.steals;
+        inner.totals.sched_pushed += s.pushed;
+        inner.totals.sched_claims += s.claims;
+        inner.totals.sched_steals += s.steals;
     }
-    inner.jobs[idx].state = JobState::Done;
-    inner.jobs[idx].result = Some(result);
+    // Retire the job: the table keeps only its stats line, and only
+    // while it is among the last few finished.
+    let entry = inner.live.remove(&id).expect("a running job is in the job table");
+    inner.totals.add(&result);
+    let mut fields = vec![
+        ("job", Json::from(id)),
+        ("app", Json::from(entry.app)),
+        ("state", Json::from(JobState::Done.as_str())),
+        ("priority", Json::from(entry.spec.priority.as_str())),
+        ("queue_ms", Json::from(queue_ms)),
+        ("wall_ms", Json::from(result.wall_ms)),
+        ("setup_us", Json::from(result.setup_us)),
+        ("dataflow_us", Json::from(result.dataflow_us)),
+        ("leaks", Json::from(result.leaks)),
+        ("aborted", Json::from(result.aborted)),
+    ];
+    if let Some(why) = &result.abort_reason {
+        fields.push(("abort_reason", Json::from(why.as_str())));
+    }
+    inner.finished.push_back((id, obj(fields)));
+    if inner.finished.len() > RECENT_FINISHED {
+        inner.finished.pop_front();
+    }
     drop(inner);
+    if let Some(reply) = reply {
+        let _ = reply.send(result);
+    }
     shared.done.notify_all();
 }
 
@@ -554,15 +631,18 @@ fn handle_analyze(
         Err(Refusal::QueueFull { depth }) => {
             write_line(reader.get_mut(), &rejected_line(depth as u64, shared.queue_cap as u64))
         }
-        Ok(id) => {
+        Ok((id, result)) => {
             let queued =
                 obj([("type", Json::from("queued")), ("job", Json::from(id))]).to_line();
             write_line(reader.get_mut(), &queued)?;
             if let Some(rx) = frames {
                 relay_frames(reader.get_mut(), id, &rx)?;
             }
-            let result = wait_done(shared, id);
-            write_line(reader.get_mut(), &result.to_json().to_line())
+            let line = match result.recv() {
+                Ok(result) => result.to_json().to_line(),
+                Err(_) => error_line(&format!("job {id} ended without a result")),
+            };
+            write_line(reader.get_mut(), &line)
         }
     }
 }
@@ -645,9 +725,10 @@ enum Refusal {
 }
 
 /// Validates the app name, registers the job and queues it on the
-/// requested priority lane. The job id is its 1-based submission index.
-/// Admission and registration happen under the queue lock, so the
-/// waiting-job bound is exact even under concurrent submissions.
+/// requested priority lane. Returns the job id (its 1-based submission
+/// index) and the receiving end of the job's result slot. Admission
+/// and registration happen under the queue lock, so the waiting-job
+/// bound is exact even under concurrent submissions.
 ///
 /// Path-shaped names (leading `/`, `./`, `../` or a `.rpk` suffix) are
 /// external apps: they pass the allow-list policy, then load and parse
@@ -659,7 +740,7 @@ fn submit(
     deadline_ms: Option<u64>,
     spec: JobSpec,
     progress: Option<ProgressSink>,
-) -> Result<u64, Refusal> {
+) -> Result<(u64, mpsc::Receiver<JobResult>), Refusal> {
     let job = if is_path_request(app) {
         let real = shared.policy.resolve(app).map_err(|e| {
             shared.inner.lock().unwrap().denied += 1;
@@ -693,106 +774,79 @@ fn submit(
         inner.rejected += 1;
         return Err(Refusal::QueueFull { depth });
     }
+    let (reply, result) = mpsc::channel();
     let id = {
         let mut inner = shared.inner.lock().unwrap();
         if inner.shutting_down {
             return Err(Refusal::Error("daemon is shutting down".to_string()));
         }
         inner.submitted[priority.lane()] += 1;
-        inner.jobs.push(JobEntry {
-            app: app.to_string(),
-            state: JobState::Queued,
-            abort,
-            spec,
-            submitted: Instant::now(),
-            queue_ms: 0,
-            cancel_requested: false,
-            progress,
-            result: None,
-        });
-        inner.jobs.len() as u64
+        inner.last_id += 1;
+        let id = inner.last_id;
+        inner.live.insert(
+            id,
+            JobEntry {
+                app: app.to_string(),
+                state: JobState::Queued,
+                abort,
+                spec,
+                submitted: Instant::now(),
+                queue_ms: 0,
+                cancel_requested: false,
+                progress,
+                reply: Some(reply),
+            },
+        );
+        id
     };
     q.lanes[priority.lane()].push_back((id, job));
     drop(q);
     shared.queue.ready.notify_one();
-    Ok(id)
-}
-
-fn wait_done(shared: &Shared, id: u64) -> JobResult {
-    let idx = (id - 1) as usize;
-    let mut inner = shared.inner.lock().unwrap();
-    loop {
-        if let Some(r) = &inner.jobs[idx].result {
-            return r.clone();
-        }
-        inner = shared.done.wait(inner).unwrap();
-    }
+    Ok((id, result))
 }
 
 /// Trips the job's abort handle. Queued jobs are skipped by the worker
-/// that claims them; running jobs wind down at their next poll.
+/// that claims them; running jobs wind down at their next poll. Any
+/// other id that was handed out belongs to a finished job, retired or
+/// not, and answers `done`.
 fn cancel(shared: &Shared, id: u64) -> Result<&'static str, String> {
-    let idx = id.checked_sub(1).ok_or("unknown job 0")? as usize;
-    let mut inner = shared.inner.lock().unwrap();
-    let e = inner.jobs.get_mut(idx).ok_or_else(|| format!("unknown job {id}"))?;
-    let state = e.state.as_str();
-    if e.state != JobState::Done {
-        e.abort.cancel();
-        e.cancel_requested = true;
+    let mut guard = shared.inner.lock().unwrap();
+    let inner = &mut *guard;
+    match inner.live.get_mut(&id) {
+        Some(e) => {
+            e.abort.cancel();
+            if !e.cancel_requested {
+                e.cancel_requested = true;
+                inner.totals.cancel_requests += 1;
+            }
+            Ok(e.state.as_str())
+        }
+        None if (1..=inner.last_id).contains(&id) => Ok(JobState::Done.as_str()),
+        None => Err(format!("unknown job {id}")),
     }
-    Ok(state)
 }
 
 fn stats(shared: &Shared) -> Json {
     let cache = shared.cg_cache.stats();
     let inner = shared.inner.lock().unwrap();
+    let t = &inner.totals;
+    let mut listed: Vec<(u64, Json)> = inner.finished.iter().cloned().collect();
     let mut by_state = [0u64; 3];
-    let mut aborted = 0u64;
-    let mut cancel_requests = 0u64;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut stale = 0u64;
-    let mut recorded = 0u64;
-    let mut materialized = 0u64;
-    let mut skipped = 0u64;
-    let mut clone_us = 0u64;
-    let mut cg_hits = 0u64;
-    let mut cg_misses = 0u64;
-    let mut jobs = Vec::new();
-    for (i, e) in inner.jobs.iter().enumerate() {
+    for (&id, e) in &inner.live {
         by_state[e.state as usize] += 1;
-        cancel_requests += u64::from(e.cancel_requested);
         let mut fields = vec![
-            ("job", Json::from(i as u64 + 1)),
+            ("job", Json::from(id)),
             ("app", Json::from(e.app.as_str())),
             ("state", Json::from(e.state.as_str())),
+            ("priority", Json::from(e.spec.priority.as_str())),
         ];
-        fields.push(("priority", Json::from(e.spec.priority.as_str())));
         if e.state != JobState::Queued {
             fields.push(("queue_ms", Json::from(e.queue_ms)));
         }
-        if let Some(r) = &e.result {
-            aborted += u64::from(r.aborted);
-            hits += r.summary_hits;
-            misses += r.summary_misses;
-            stale += r.summary_stale;
-            recorded += r.summary_recorded;
-            materialized += r.bodies_materialized;
-            skipped += r.bodies_skipped;
-            clone_us += r.platform_clone_us;
-            cg_hits += r.callgraph_cache_hits;
-            cg_misses += r.callgraph_cache_misses;
-            fields.push(("wall_ms", Json::from(r.wall_ms)));
-            fields.push(("setup_us", Json::from(r.setup_us)));
-            fields.push(("dataflow_us", Json::from(r.dataflow_us)));
-            fields.push(("leaks", Json::from(r.leaks)));
-            fields.push(("aborted", Json::from(r.aborted)));
-            if let Some(why) = &r.abort_reason {
-                fields.push(("abort_reason", Json::from(why.as_str())));
-            }
-        }
-        jobs.push(obj(fields));
+        listed.push((id, obj(fields)));
     }
+    listed.sort_by_key(|(id, _)| *id);
+    let jobs = listed.into_iter().map(|(_, j)| j).collect();
     let store_tiers = shared.summary_cache.as_ref().map(|dir| {
         Json::Arr(
             flowdroid_summaries::tier_stats(dir)
@@ -816,31 +870,31 @@ fn stats(shared: &Shared) -> Json {
         ("queue_cap", Json::from(shared.queue_cap as u64)),
         ("queue_depth", Json::from(by_state[JobState::Queued as usize])),
         ("running", Json::from(by_state[JobState::Running as usize])),
-        ("completed", Json::from(by_state[JobState::Done as usize])),
-        ("aborted", Json::from(aborted)),
+        ("completed", Json::from(t.completed)),
+        ("aborted", Json::from(t.aborted)),
         ("rejected", Json::from(inner.rejected)),
         ("policy_denied", Json::from(inner.denied)),
         ("submitted_high", Json::from(inner.submitted[Priority::High.lane()])),
         ("submitted_normal", Json::from(inner.submitted[Priority::Normal.lane()])),
         ("submitted_batch", Json::from(inner.submitted[Priority::Batch.lane()])),
-        ("cancel_requests", Json::from(cancel_requests)),
-        ("summary_hits", Json::from(hits)),
-        ("summary_misses", Json::from(misses)),
-        ("summary_stale", Json::from(stale)),
-        ("summary_recorded", Json::from(recorded)),
+        ("cancel_requests", Json::from(t.cancel_requests)),
+        ("summary_hits", Json::from(t.summary_hits)),
+        ("summary_misses", Json::from(t.summary_misses)),
+        ("summary_stale", Json::from(t.summary_stale)),
+        ("summary_recorded", Json::from(t.summary_recorded)),
         ("snapshot_load_ms", Json::from(shared.snapshot_load_ms)),
         ("snapshot_source", Json::from(shared.snapshot_source)),
-        ("bodies_materialized", Json::from(materialized)),
-        ("bodies_skipped", Json::from(skipped)),
-        ("platform_clone_us", Json::from(clone_us)),
-        ("callgraph_cache_hits", Json::from(cg_hits)),
-        ("callgraph_cache_misses", Json::from(cg_misses)),
+        ("bodies_materialized", Json::from(t.bodies_materialized)),
+        ("bodies_skipped", Json::from(t.bodies_skipped)),
+        ("platform_clone_us", Json::from(t.platform_clone_us)),
+        ("callgraph_cache_hits", Json::from(t.callgraph_cache_hits)),
+        ("callgraph_cache_misses", Json::from(t.callgraph_cache_misses)),
         ("callgraph_cache_evictions", Json::from(cache.evictions)),
         ("callgraph_cache_invalidations", Json::from(cache.invalidations)),
         ("callgraph_cache_entries", Json::from(cache.entries as u64)),
-        ("sched_pushed", Json::from(inner.sched_pushed)),
-        ("sched_claims", Json::from(inner.sched_claims)),
-        ("sched_steals", Json::from(inner.sched_steals)),
+        ("sched_pushed", Json::from(t.sched_pushed)),
+        ("sched_claims", Json::from(t.sched_claims)),
+        ("sched_steals", Json::from(t.sched_steals)),
     ];
     if let Some(tiers) = store_tiers {
         top.push(("store_tiers", tiers));
@@ -865,10 +919,10 @@ fn close_queue(shared: &Shared) {
 /// drain and reports the same counts.
 fn drain(shared: &Shared) -> Json {
     let mut inner = shared.inner.lock().unwrap();
-    while inner.jobs.iter().any(|e| e.state != JobState::Done) {
+    while !inner.live.is_empty() {
         inner = shared.done.wait(inner).unwrap();
     }
-    let completed = inner.jobs.len() as u64;
+    let completed = inner.totals.completed;
     drop(inner);
     if let Some(dir) = &shared.summary_cache {
         let _ = flush_summary_cache(dir);

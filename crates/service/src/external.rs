@@ -15,8 +15,8 @@
 //!   directory (`AndroidManifest.xml`, `res/layout/*.xml`,
 //!   `classes.jasm`) or a packed `.rpk` archive, and builds a
 //!   [`CorpusJob`] whose name folds in a content hash: the bench
-//!   layer's prepared-job registry caches by name forever, so two
-//!   different apps at the same path — or the same path edited between
+//!   layer's prepared-job registry caches by name, so two different
+//!   apps at the same path — or the same path edited between
 //!   submissions — must never collide on a name.
 
 use flowdroid_bench::{external_job, CorpusJob};

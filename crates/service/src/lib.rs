@@ -13,9 +13,10 @@
 //!   with [`Priority`] lanes, cache namespaces and opt-in streaming;
 //! * [`daemon`] — the server: accept loop, three-lane priority queue
 //!   with admission control (bounded depth, `rejected` backpressure
-//!   replies), worker pool, job registry with per-job
-//!   [`flowdroid_core::AbortHandle`]s (deadline, cancel, budget), and
-//!   a per-connection frame relay for streamed jobs;
+//!   replies), worker pool, a job table of live jobs plus the last
+//!   few finished ones with per-job [`flowdroid_core::AbortHandle`]s
+//!   (deadline, cancel, budget) and result slots, and a
+//!   per-connection frame relay for streamed jobs;
 //! * [`external`] — serving external apps: the `--allow-apps`
 //!   path-policy sandbox ([`AppPolicy`]) and the on-disk app-dir /
 //!   `.rpk` loader, with typed `denied` replies for paths outside the

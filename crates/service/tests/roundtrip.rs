@@ -54,6 +54,18 @@ fn temp_cache(tag: &str) -> PathBuf {
     dir
 }
 
+/// The state `stats` lists for job `id` (`stats.jobs` holds the live
+/// jobs plus the last few finished ones, so look jobs up by id).
+fn job_state(c: &mut Client, id: u64) -> Option<String> {
+    let stats = c.stats().expect("stats");
+    stats
+        .get("jobs")
+        .and_then(|jobs| jobs.as_arr())
+        .and_then(|jobs| jobs.iter().find(|j| j.u64_field("job") == Some(id)))
+        .and_then(|j| j.str_field("state"))
+        .map(str::to_string)
+}
+
 #[test]
 fn cold_then_warm_job_shares_summary_cache() {
     let cache = temp_cache("coldwarm");
@@ -190,10 +202,7 @@ fn cancel_from_second_connection_stops_inflight_job() {
     let mut b = Client::connect(&addr).expect("connection b");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let stats = b.stats().expect("stats");
-        let jobs = stats.get("jobs").unwrap().as_arr().unwrap();
-        let state = jobs[(id - 1) as usize].str_field("state").unwrap().to_string();
-        if state != "queued" {
+        if job_state(&mut b, id).expect("job is listed") != "queued" {
             break;
         }
         assert!(Instant::now() < deadline, "job never started running");
@@ -267,9 +276,7 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
     let mut b = Client::connect(&addr).expect("connection b");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let stats = b.stats().expect("stats");
-        let jobs = stats.get("jobs").unwrap().as_arr().unwrap();
-        if jobs[(id - 1) as usize].str_field("state") == Some("running") {
+        if job_state(&mut b, id).as_deref() == Some("running") {
             break;
         }
         assert!(Instant::now() < deadline, "job never started running");
@@ -498,9 +505,7 @@ fn high_priority_overtakes_batch_in_the_queue() {
     let mut s = Client::connect(&addr).expect("stats conn");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let stats = s.stats().expect("stats");
-        let jobs = stats.get("jobs").unwrap().as_arr().unwrap();
-        if jobs[(pin_id - 1) as usize].str_field("state") == Some("running") {
+        if job_state(&mut s, pin_id).as_deref() == Some("running") {
             break;
         }
         assert!(Instant::now() < deadline, "pin job never started");

@@ -9,9 +9,9 @@
 //!
 //! 1. [`MemoryTier`] — a byte-bounded in-process LRU, so re-opening a
 //!    released store costs no I/O;
-//! 2. [`LocalDirTier`] — one `summaries.fdss` file per namespace under
-//!    the cache directory (the namespace-less layout is byte-identical
-//!    to the pre-tier single-file store);
+//! 2. [`LocalDirTier`] — one `summaries-<context>.fdss` file per
+//!    namespace and configuration context under the cache directory
+//!    (see [`local_store_file`]);
 //! 3. [`ChunkTier`] — a content-addressed chunk store (FNV-1a64-keyed
 //!    chunks plus per-key manifests). Chunks are immutable and
 //!    self-verifying, so the directory can be rsynced / shared between
@@ -198,8 +198,8 @@ fn namespace_component(ns: &str) -> Option<String> {
     }
 }
 
-/// The directory a [`LocalDirTier`] rooted at `root` keeps the blob for
-/// namespace `ns` in (the blob file inside it is `summaries.fdss`).
+/// The directory a [`LocalDirTier`] rooted at `root` keeps the blobs
+/// of namespace `ns` in (the default namespace uses `root` itself).
 pub fn local_store_dir(root: &Path, ns: &str) -> PathBuf {
     match namespace_component(ns) {
         None => root.to_path_buf(),
@@ -207,10 +207,17 @@ pub fn local_store_dir(root: &Path, ns: &str) -> PathBuf {
     }
 }
 
-/// Name of the blob file inside a [`LocalDirTier`] namespace directory.
-pub const LOCAL_FILE_NAME: &str = "summaries.fdss";
+/// The file a [`LocalDirTier`] rooted at `root` keeps the blob for
+/// `(ns, context_hash)` in: `summaries-<context hash>.fdss` inside
+/// [`local_store_dir`]. Keying the file by context as well as namespace
+/// keeps the stores of different configurations in one namespace from
+/// overwriting each other.
+pub fn local_store_file(root: &Path, ns: &str, context_hash: u64) -> PathBuf {
+    local_store_dir(root, ns).join(format!("summaries-{context_hash:016x}.fdss"))
+}
 
-/// One `summaries.fdss` file per namespace under a root directory.
+/// One `summaries-<context>.fdss` file per namespace and context under
+/// a root directory.
 pub struct LocalDirTier {
     root: PathBuf,
 }
@@ -222,7 +229,7 @@ impl LocalDirTier {
     }
 
     fn path_for(&self, key: &BlobKey) -> PathBuf {
-        local_store_dir(&self.root, &key.namespace).join(LOCAL_FILE_NAME)
+        local_store_file(&self.root, &key.namespace, key.context_hash)
     }
 }
 
@@ -244,7 +251,8 @@ impl SummaryBackend for LocalDirTier {
         let dir = path.parent().expect("store path has a parent");
         std::fs::create_dir_all(dir)?;
         // Atomic replace: readers only ever see a complete file.
-        let tmp = dir.join(format!("{LOCAL_FILE_NAME}.tmp.{}", std::process::id()));
+        let name = path.file_name().expect("store file name").to_string_lossy();
+        let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
         std::fs::write(&tmp, bytes)?;
         std::fs::rename(&tmp, &path)
     }
@@ -529,11 +537,16 @@ mod tests {
         let k_tenant = BlobKey::new("tenant-a", 7);
         tier.store(&k_default, b"default blob").unwrap();
         tier.store(&k_tenant, b"tenant blob").unwrap();
-        // The default namespace keeps the historical flat layout.
-        assert!(root.join(LOCAL_FILE_NAME).is_file());
+        // The default namespace keeps its files in the root itself.
+        assert!(local_store_file(&root, "", 7).is_file());
+        assert_eq!(local_store_file(&root, "", 7).parent(), Some(root.as_path()));
         assert_eq!(tier.load(&k_default).unwrap().unwrap(), b"default blob");
         assert_eq!(tier.load(&k_tenant).unwrap().unwrap(), b"tenant blob");
         assert!(tier.load(&BlobKey::new("tenant-b", 7)).unwrap().is_none());
+        // A second context in the same namespace gets a file of its own.
+        tier.store(&BlobKey::new("", 8), b"other context").unwrap();
+        assert_eq!(tier.load(&k_default).unwrap().unwrap(), b"default blob");
+        assert_eq!(tier.load(&BlobKey::new("", 8)).unwrap().unwrap(), b"other context");
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -601,10 +614,10 @@ mod tests {
         assert_eq!(stack.load(&key, &accept).unwrap(), (b"blob v1".to_vec(), "memory"));
 
         stack.clear_memory();
-        std::fs::remove_file(root.join(LOCAL_FILE_NAME)).unwrap();
+        std::fs::remove_file(local_store_file(&root, "", 9)).unwrap();
         assert_eq!(stack.load(&key, &accept).unwrap(), (b"blob v1".to_vec(), "chunk"));
         // Promotion restored the upper tiers.
-        assert!(root.join(LOCAL_FILE_NAME).is_file());
+        assert!(local_store_file(&root, "", 9).is_file());
         assert_eq!(stack.load(&key, &accept).unwrap(), (b"blob v1".to_vec(), "memory"));
 
         let stats = stack.stats();

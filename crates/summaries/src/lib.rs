@@ -20,18 +20,18 @@
 //! matches (`flowdroid_ir::body_fingerprint` extended transitively by
 //! the consumer), and equal fingerprints imply identical local tables.
 //!
-//! The on-disk format (one `summaries.fdss` file per cache directory
-//! and namespace) is versioned and checksummed; see [`wire`] for the
-//! exact layout. Corrupted, truncated or incompatible files are
-//! rejected with a clean [`StoreError`], never a panic — a bad cache
-//! degrades to a cold one.
+//! The on-disk format (one `summaries-<context>.fdss` file per cache
+//! directory, namespace and configuration context) is versioned and
+//! checksummed; see [`wire`] for the exact layout. Corrupted,
+//! truncated or incompatible files are rejected with a clean
+//! [`StoreError`], never a panic — a bad cache degrades to a cold one.
 //!
 //! Persistence goes through the tier stack in `flowdroid-store`
 //! (in-memory LRU → local store files → content-addressed chunk
 //! store): opens replay the first valid blob any tier holds, flushes
-//! write through all of them, and per-client *cache namespaces* key
-//! disjoint stores inside one cache directory (see [`open_shared_ns`],
-//! [`release_dir`], [`tier_stats`]).
+//! of stores with staged summaries write through all of them, and
+//! per-client *cache namespaces* key disjoint stores inside one cache
+//! directory (see [`open_shared_ns`], [`release_dir`], [`tier_stats`]).
 //!
 //! [`SharedStore`] layers a process-wide *visible / fresh* split on
 //! top: lookups only see summaries loaded from disk (or explicitly
@@ -44,11 +44,10 @@
 mod store;
 pub mod wire;
 
-pub use flowdroid_store::{local_store_dir, TierStats, TierStatsNamed};
+pub use flowdroid_store::{local_store_dir, local_store_file, TierStats, TierStatsNamed};
 pub use store::{
     clear_memory_tier, flush_dir, open_shared, open_shared_ns, release_dir, tier_stats,
     tiered_store, Lookup, MethodSummaries, SharedStore, StoreError, SummaryStore,
-    STORE_FILE_NAME,
 };
 
 /// A field reference by value: declaring class name + field name.

@@ -3,15 +3,12 @@
 
 use crate::wire::{fnv1a64, Reader, Writer, MAGIC, VERSION};
 use crate::{SymFact, SymSummary};
-use flowdroid_store::{BlobKey, TierStatsNamed, TieredStore};
+use flowdroid_store::{local_store_file, BlobKey, TierStatsNamed, TieredStore};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-
-/// Name of the store file inside a cache directory.
-pub const STORE_FILE_NAME: &str = "summaries.fdss";
 
 /// An error loading a store file.
 #[derive(Debug)]
@@ -47,12 +44,57 @@ impl From<io::Error> for StoreError {
 }
 
 /// All persisted summaries of one method, under one body fingerprint.
+///
+/// The entries are a `Vec` sorted by entry fact, with exactly the
+/// capacity it holds: a method has only a few entries, and a B-tree
+/// node per method cost several times the summaries themselves in a
+/// long-running daemon.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MethodSummaries {
     /// Transitive body fingerprint the summaries were computed under.
     pub body_hash: u64,
-    /// Entry fact → end summaries.
-    pub entries: BTreeMap<SymFact, Vec<SymSummary>>,
+    /// `(entry fact, end summaries)`, strictly ascending by entry fact.
+    entries: Vec<(SymFact, Vec<SymSummary>)>,
+}
+
+impl MethodSummaries {
+    /// Iterates `(entry fact, end summaries)` in entry-fact order.
+    pub fn entries(&self) -> impl Iterator<Item = (&SymFact, &[SymSummary])> {
+        self.entries.iter().map(|(entry, exits)| (entry, exits.as_slice()))
+    }
+
+    /// Number of entry facts with stored summaries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The end summaries stored for `entry`.
+    pub(crate) fn get(&self, entry: &SymFact) -> Option<&[SymSummary]> {
+        self.entries
+            .binary_search_by(|(f, _)| f.cmp(entry))
+            .ok()
+            .map(|i| self.entries[i].1.as_slice())
+    }
+
+    /// Adds `exits` under `entry`, keeping exits sorted, deduped and
+    /// exactly sized.
+    fn insert(&mut self, entry: SymFact, mut exits: Vec<SymSummary>) {
+        let slot = match self.entries.binary_search_by(|(f, _)| f.cmp(&entry)) {
+            Ok(i) => {
+                let slot = &mut self.entries[i].1;
+                slot.append(&mut exits);
+                slot
+            }
+            Err(i) => {
+                self.entries.reserve_exact(1);
+                self.entries.insert(i, (entry, exits));
+                &mut self.entries[i].1
+            }
+        };
+        slot.sort();
+        slot.dedup();
+        slot.shrink_to_fit();
+    }
 }
 
 /// Result of a store lookup.
@@ -67,7 +109,7 @@ pub enum Lookup {
     Miss,
 }
 
-/// An in-memory summary store: deterministic (`BTreeMap`-ordered)
+/// An in-memory summary store: deterministic (signature-ordered)
 /// tables keyed by method signature, plus the configuration fingerprint
 /// the summaries were computed under.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -92,7 +134,7 @@ impl SummaryStore {
 
     /// Total number of `(entry fact → summaries)` entries.
     pub fn entry_count(&self) -> usize {
-        self.methods.values().map(|m| m.entries.len()).sum()
+        self.methods.values().map(MethodSummaries::len).sum()
     }
 
     /// Returns `true` if nothing is stored.
@@ -105,6 +147,11 @@ impl SummaryStore {
         self.methods.iter()
     }
 
+    /// The summaries stored for method `sig`, under whatever body hash.
+    pub fn get(&self, sig: &str) -> Option<&MethodSummaries> {
+        self.methods.get(sig)
+    }
+
     /// Records summaries for `(sig, body_hash, entry)`. A differing
     /// stored body hash means the method changed: all its old entries
     /// are dropped first. Exit summaries are kept sorted and deduped so
@@ -112,13 +159,17 @@ impl SummaryStore {
     pub fn insert(&mut self, sig: &str, body_hash: u64, entry: SymFact, exits: Vec<SymSummary>) {
         let m = self.methods.entry(sig.to_owned()).or_default();
         if m.body_hash != body_hash {
-            m.entries.clear();
+            m.entries = Vec::new();
             m.body_hash = body_hash;
         }
-        let slot = m.entries.entry(entry).or_default();
-        slot.extend(exits);
-        slot.sort();
-        slot.dedup();
+        m.insert(entry, exits);
+    }
+
+    /// Whether `(sig, body_hash, entry)` has stored summaries.
+    pub(crate) fn contains(&self, sig: &str, body_hash: u64, entry: &SymFact) -> bool {
+        self.methods
+            .get(sig)
+            .is_some_and(|m| m.body_hash == body_hash && m.get(entry).is_some())
     }
 
     /// Looks up the summaries for `(sig, body_hash, entry)`.
@@ -126,8 +177,8 @@ impl SummaryStore {
         match self.methods.get(sig) {
             None => Lookup::Miss,
             Some(m) if m.body_hash != body_hash => Lookup::Stale,
-            Some(m) => match m.entries.get(entry) {
-                Some(exits) => Lookup::Hit(exits.clone()),
+            Some(m) => match m.get(entry) {
+                Some(exits) => Lookup::Hit(exits.to_vec()),
                 None => Lookup::Miss,
             },
         }
@@ -135,10 +186,10 @@ impl SummaryStore {
 
     /// Merges all of `other`'s entries into `self` (other's body hashes
     /// win on conflict — they are newer).
-    pub fn merge(&mut self, other: &SummaryStore) {
-        for (sig, ms) in &other.methods {
-            for (entry, exits) in &ms.entries {
-                self.insert(sig, ms.body_hash, entry.clone(), exits.clone());
+    pub fn merge(&mut self, other: SummaryStore) {
+        for (sig, ms) in other.methods {
+            for (entry, exits) in ms.entries {
+                self.insert(&sig, ms.body_hash, entry, exits);
             }
         }
     }
@@ -208,46 +259,29 @@ impl SummaryStore {
             let sig = r.str()?;
             let body_hash = r.u64()?;
             let entry_count = r.count(5)?;
-            let ms = store.methods.entry(sig).or_default();
-            ms.body_hash = body_hash;
+            let mut entries: Vec<(SymFact, Vec<SymSummary>)> = Vec::with_capacity(entry_count);
             for _ in 0..entry_count {
                 let entry = r.fact()?;
+                // The writer emits entries in strictly ascending order;
+                // anything else is not a file this crate wrote.
+                if entries.last().is_some_and(|(prev, _)| *prev >= entry) {
+                    return Err(StoreError::Corrupt("entry facts out of order"));
+                }
                 let exit_count = r.count(5)?;
                 let mut exits = Vec::with_capacity(exit_count);
                 for _ in 0..exit_count {
                     exits.push(r.summary()?);
                 }
-                ms.entries.insert(entry, exits);
+                entries.push((entry, exits));
+            }
+            if store.methods.insert(sig, MethodSummaries { body_hash, entries }).is_some() {
+                return Err(StoreError::Corrupt("duplicate method signature"));
             }
         }
         if r.remaining() != 8 {
             return Err(StoreError::Corrupt("trailing bytes after method table"));
         }
         Ok(store)
-    }
-
-    /// Loads the store file inside `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] (including not-found, which callers
-    /// usually treat as an empty store) or a decode error.
-    pub fn load_dir(dir: &Path) -> Result<SummaryStore, StoreError> {
-        let bytes = std::fs::read(dir.join(STORE_FILE_NAME))?;
-        Self::from_bytes(&bytes)
-    }
-
-    /// Atomically writes the store file inside `dir` (temp file +
-    /// rename), creating the directory if needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    pub fn save_dir(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!("{STORE_FILE_NAME}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, dir.join(STORE_FILE_NAME))
     }
 }
 
@@ -258,7 +292,8 @@ impl SummaryStore {
 /// summaries are recorded into the `fresh` half and become visible —
 /// and persistent — only after [`flush_dir`]. A run therefore never
 /// consumes its own discoveries, keeping cold runs bit-identical to
-/// uncached runs.
+/// uncached runs. A flush with nothing staged neither re-encodes the
+/// store nor writes any tier.
 #[derive(Debug)]
 pub struct SharedStore {
     dir: PathBuf,
@@ -324,7 +359,7 @@ impl SharedStore {
     /// Entries already visible with the same body hash are skipped —
     /// they came *from* the store.
     pub fn record(&self, sig: &str, body_hash: u64, entry: SymFact, exits: Vec<SymSummary>) {
-        if matches!(self.lookup(sig, body_hash, &entry), Lookup::Hit(_)) {
+        if self.visible.read().unwrap().contains(sig, body_hash, &entry) {
             return;
         }
         self.fresh.lock().unwrap().insert(sig, body_hash, entry, exits);
@@ -332,8 +367,9 @@ impl SharedStore {
 
     /// Promotes fresh summaries into the visible half and persists the
     /// merged store through every tier (memory LRU, local file,
-    /// content-addressed chunk store). Returns the number of visible
-    /// methods after the merge.
+    /// content-addressed chunk store). With nothing staged the store is
+    /// unchanged, so nothing is encoded or written. Returns the number
+    /// of visible methods after the merge.
     ///
     /// # Errors
     ///
@@ -342,9 +378,11 @@ impl SharedStore {
         let mut visible = self.visible.write().unwrap();
         let mut fresh = self.fresh.lock().unwrap();
         let staged = std::mem::replace(&mut *fresh, SummaryStore::new(visible.context_hash));
-        visible.merge(&staged);
-        let key = BlobKey::new(&self.namespace, visible.context_hash);
-        self.tiered.store(&key, &visible.to_bytes())?;
+        if !staged.is_empty() {
+            visible.merge(staged);
+            let key = BlobKey::new(&self.namespace, visible.context_hash);
+            self.tiered.store(&key, &visible.to_bytes())?;
+        }
         Ok(visible.method_count())
     }
 }
@@ -415,11 +453,10 @@ pub fn open_shared_ns(dir: &Path, ns: &str, context_hash: u64) -> Arc<SharedStor
     // it was unusable (corruption diagnostics; a context mismatch is
     // not an error).
     let load_error = if loaded_from.is_none() {
-        let ns_dir = flowdroid_store::local_store_dir(dir, ns);
-        match SummaryStore::load_dir(&ns_dir) {
-            Ok(_) => None,
-            Err(StoreError::Io(e)) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => Some(e.to_string()),
+        match std::fs::read(local_store_file(dir, ns, context_hash)) {
+            Ok(bytes) => SummaryStore::from_bytes(&bytes).err().map(|e| e.to_string()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => Some(StoreError::Io(e).to_string()),
         }
     } else {
         None
@@ -579,14 +616,42 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_dir() {
-        let dir = std::env::temp_dir().join(format!("fdss-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = sample();
-        s.save_dir(&dir).unwrap();
-        let back = SummaryStore::load_dir(&dir).unwrap();
-        assert_eq!(back, s);
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn entries_stay_sorted_and_exactly_sized() {
+        let mut s = SummaryStore::new(1);
+        for slot in [5, 1, 3, 1, 0, 4] {
+            let exits = vec![SymSummary { exit_idx: slot, fact: fact(slot) }];
+            s.insert("<A: void m()>", 7, fact(slot), exits);
+        }
+        s.insert("<A: void m()>", 7, fact(1), vec![SymSummary { exit_idx: 0, fact: fact(2) }]);
+        let m = s.get("<A: void m()>").unwrap();
+        assert_eq!(m.entries.capacity(), m.len());
+        assert!(m.entries.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(m.entries.iter().all(|(_, exits)| exits.capacity() == exits.len()));
+        assert_eq!(m.get(&fact(1)).unwrap().len(), 2, "exits of a repeated entry merge");
+    }
+
+    #[test]
+    fn out_of_order_entries_are_rejected() {
+        // A method whose two entries are written in descending order,
+        // behind a valid checksum: not a file the writer produces.
+        let mut w = Writer::new();
+        w.buf.extend_from_slice(&MAGIC);
+        w.u32(VERSION);
+        w.u64(1);
+        w.u64(1);
+        w.str("<A: void m()>");
+        w.u64(7);
+        w.u32(2);
+        for slot in [2, 1] {
+            w.fact(&fact(slot));
+            w.u32(0);
+        }
+        let checksum = fnv1a64(&w.buf);
+        w.u64(checksum);
+        assert!(matches!(
+            SummaryStore::from_bytes(&w.buf),
+            Err(StoreError::Corrupt("entry facts out of order"))
+        ));
     }
 
     #[test]
@@ -610,7 +675,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fdss-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(STORE_FILE_NAME), b"not a store").unwrap();
+        std::fs::write(local_store_file(&dir, "", 2), b"not a store").unwrap();
         let shared = open_shared(&dir, 2);
         assert!(shared.load_error().is_some());
         assert_eq!(shared.visible_methods(), 0);

@@ -11,7 +11,7 @@
 //!   signature     str       full method signature
 //!   body_hash     u64       transitive body fingerprint
 //!   entry_count   u32
-//!   per entry:
+//!   per entry (strictly ascending by entry fact):
 //!     entry_fact    fact
 //!     exit_count    u32
 //!     per exit:     exit_idx u32, exit_fact fact

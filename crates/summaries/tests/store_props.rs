@@ -85,6 +85,34 @@ proptest! {
         prop_assert_eq!(back.to_bytes(), bytes);
     }
 
+    /// The compact resident form round-trips through the wire. Stores
+    /// are built by merging random batches, with entries repeated
+    /// across batches and methods changing body hash between them; the
+    /// decoded store equals the merged one, and decoding then
+    /// re-encoding gives identical bytes.
+    #[test]
+    fn merged_store_decodes_and_reencodes_identically(
+        ctx in 0u64..1000,
+        batches in proptest::collection::vec((items_strategy(), 0u64..2), 1..4),
+    ) {
+        let mut merged = SummaryStore::new(ctx);
+        for (items, rehash) in &batches {
+            let mut batch = SummaryStore::new(ctx);
+            for (i, entry, exits) in items {
+                batch.insert(SIGS[*i], body_hash_of(*i) + rehash, entry.clone(), exits.clone());
+            }
+            merged.merge(batch);
+        }
+        let bytes = merged.to_bytes();
+        let decoded = SummaryStore::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(&decoded, &merged);
+        prop_assert_eq!(decoded.to_bytes(), bytes);
+        for (_, ms) in decoded.iter() {
+            let entries: Vec<&SymFact> = ms.entries().map(|(entry, _)| entry).collect();
+            prop_assert!(entries.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
     /// The store (and therefore the file bytes) does not depend on the
     /// order summaries were recorded in — required for stable bytes
     /// under the parallel solver's nondeterministic completion order.

@@ -1,12 +1,13 @@
 //! Tier-stack behaviour of the shared summary store: opens replay the
 //! first valid blob any tier holds (memory LRU → local file →
 //! content-addressed chunks), releases let later opens hit the tiers
-//! instead of the decoded-store registry, and per-client namespaces
-//! never observe each other's summaries.
+//! instead of the decoded-store registry, per-client namespaces never
+//! observe each other's summaries, the contexts of one namespace keep
+//! separate local files, and a flush with nothing staged writes nothing.
 
 use flowdroid_summaries::{
-    clear_memory_tier, local_store_dir, open_shared_ns, release_dir, tier_stats, Lookup,
-    SymFact, STORE_FILE_NAME,
+    clear_memory_tier, flush_dir, local_store_dir, local_store_file, open_shared_ns,
+    release_dir, tier_stats, Lookup, SymFact,
 };
 use std::path::PathBuf;
 
@@ -54,11 +55,11 @@ fn reopen_walks_down_the_tiers_and_promotes_back() {
     // Drop memory *and* the local file: only the chunk store is left —
     // and the hit is promoted back into the upper tiers.
     clear_memory_tier(&dir);
-    std::fs::remove_file(dir.join(STORE_FILE_NAME)).unwrap();
+    std::fs::remove_file(local_store_file(&dir, "", ctx)).unwrap();
     let store = open_shared_ns(&dir, "", ctx);
     assert_eq!(store.loaded_from(), Some("chunk"));
     assert!(matches!(store.lookup("<A: void m()>", 9, &SymFact::Zero), Lookup::Hit(_)));
-    assert!(dir.join(STORE_FILE_NAME).is_file(), "chunk hit restores the local file");
+    assert!(local_store_file(&dir, "", ctx).is_file(), "chunk hit restores the local file");
 
     assert!(hits(&dir, "memory") >= 1);
     assert!(hits(&dir, "local") >= 1);
@@ -85,7 +86,7 @@ fn namespaces_are_isolated_within_one_directory() {
     let a = open_shared_ns(&dir, "tenant-a", ctx);
     assert!(a.loaded_from().is_some());
     assert!(matches!(a.lookup("<A: void m()>", 5, &SymFact::Zero), Lookup::Hit(_)));
-    assert!(local_store_dir(&dir, "tenant-a").join(STORE_FILE_NAME).is_file());
+    assert!(local_store_file(&dir, "tenant-a", ctx).is_file());
     assert_ne!(local_store_dir(&dir, "tenant-a"), local_store_dir(&dir, "tenant-b"));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -99,5 +100,53 @@ fn busy_stores_survive_release() {
     assert_eq!(release_dir(&dir).unwrap(), 0);
     let again = open_shared_ns(&dir, "", 3);
     assert!(std::sync::Arc::ptr_eq(&held, &again), "same registered store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn contexts_of_one_namespace_keep_separate_local_files() {
+    let dir = temp_dir("contexts");
+    for ctx in [21, 22] {
+        let store = open_shared_ns(&dir, "tenant", ctx);
+        store.record("<C: void c()>", ctx, SymFact::Zero, vec![]);
+    }
+    release_dir(&dir).unwrap();
+    assert_ne!(local_store_file(&dir, "tenant", 21), local_store_file(&dir, "tenant", 22));
+
+    // With the memory tier gone, each context must come back from its
+    // own local file, not from a file the other context overwrote.
+    clear_memory_tier(&dir);
+    for ctx in [21, 22] {
+        let store = open_shared_ns(&dir, "tenant", ctx);
+        assert_eq!(store.loaded_from(), Some("local"), "context {ctx}");
+        assert!(matches!(store.lookup("<C: void c()>", ctx, &SymFact::Zero), Lookup::Hit(_)));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn flushing_with_nothing_staged_writes_no_tier() {
+    let dir = temp_dir("clean-flush");
+    let writes = |dir: &PathBuf| -> Vec<u64> {
+        tier_stats(dir).iter().map(|t| t.stats.writes).collect()
+    };
+
+    // A cold store with nothing recorded: flushing writes nothing.
+    let store = open_shared_ns(&dir, "", 5);
+    flush_dir(&dir).unwrap();
+    assert_eq!(writes(&dir), vec![0, 0, 0]);
+
+    // A staged summary is written through every tier once...
+    store.record("<D: void d()>", 1, SymFact::Zero, vec![]);
+    flush_dir(&dir).unwrap();
+    let after_dirty = writes(&dir);
+    assert_eq!(after_dirty, vec![1, 1, 1]);
+
+    // ...and neither a repeat flush nor re-recording a visible summary
+    // writes anything again.
+    flush_dir(&dir).unwrap();
+    store.record("<D: void d()>", 1, SymFact::Zero, vec![]);
+    flush_dir(&dir).unwrap();
+    assert_eq!(writes(&dir), after_dirty);
     let _ = std::fs::remove_dir_all(&dir);
 }
