@@ -17,7 +17,7 @@ use flowdroid_core::{
 use flowdroid_droidbench::{all_apps, insecurebank, BenchApp};
 use flowdroid_frontend::layout::{Layout, ResourceTable};
 use flowdroid_frontend::manifest::Manifest;
-use flowdroid_core::{SchedulerStats, SummaryCacheStats, TableStats};
+use flowdroid_core::{SummaryCacheStats, TableStats};
 use std::path::Path;
 use flowdroid_frontend::{parse_jasm, sdex, App};
 use flowdroid_ir::{FxHashMap, Program};
@@ -346,18 +346,16 @@ pub struct AppRun {
     pub forward_propagations: u64,
     /// Backward (alias) path-edge propagations.
     pub backward_propagations: u64,
-    /// Distinct facts interned (0 when interning is off).
+    /// Distinct facts interned.
     pub distinct_facts: usize,
-    /// Distinct access paths interned (0 when interning is off).
+    /// Distinct access paths interned.
     pub distinct_aps: usize,
     /// Whole-pipeline duration for this app (parse + model + call
     /// graph + data flow).
     pub total: Duration,
     /// Data-flow (solver) phase duration only.
     pub dataflow: Duration,
-    /// Work-stealing scheduler counters (parallel taint engine only).
-    pub scheduler: Option<SchedulerStats>,
-    /// Tabulation-table density/widening counters (bitset tables only).
+    /// Tabulation-table density/widening counters.
     pub fact_tables: Option<TableStats>,
     /// Summary-cache counters (persistent summary store only).
     pub summary_cache: Option<SummaryCacheStats>,
@@ -602,7 +600,6 @@ fn finish_run(
         distinct_aps: results.distinct_aps,
         total: start.elapsed(),
         dataflow: results.duration,
-        scheduler: results.scheduler.clone(),
         fact_tables: results.fact_tables,
         summary_cache: results.summary_cache.clone(),
         aborted: results.aborted,
@@ -691,30 +688,6 @@ impl CorpusRun {
             t.store_methods = t.store_methods.max(s.store_methods);
             if t.load_error.is_none() {
                 t.load_error = s.load_error.clone();
-            }
-        }
-        total
-    }
-
-    /// Work-stealing scheduler counters summed across the corpus
-    /// (`None` when no app ran the parallel taint engine). Per-shard
-    /// pushes are added element-wise, so shard occupancy aggregates
-    /// too.
-    pub fn scheduler_totals(&self) -> Option<SchedulerStats> {
-        let mut total: Option<SchedulerStats> = None;
-        for s in self.apps.iter().filter_map(|a| a.scheduler.as_ref()) {
-            let t = total.get_or_insert_with(|| SchedulerStats {
-                shards: s.shards,
-                ..SchedulerStats::default()
-            });
-            t.pushed += s.pushed;
-            t.steals += s.steals;
-            t.claims += s.claims;
-            if t.pushed_per_shard.len() < s.pushed_per_shard.len() {
-                t.pushed_per_shard.resize(s.pushed_per_shard.len(), 0);
-            }
-            for (i, c) in s.pushed_per_shard.iter().enumerate() {
-                t.pushed_per_shard[i] += c;
             }
         }
         total

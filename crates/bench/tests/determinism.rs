@@ -1,14 +1,15 @@
-//! Determinism sweeps: the sharded parallel IFDS solver and the
-//! parallel corpus driver must produce results identical to their
-//! sequential counterparts across all DroidBench apps and every
-//! thread count — parallelism must never change *what* is computed.
+//! Determinism sweeps: the parallel corpus driver must produce reports
+//! identical to a single-threaded run at every thread count, the lazy
+//! frontend must match eager loading, and the generic IFDS solver must
+//! reach the same fixed point on every run — neither parallelism nor
+//! hash iteration order may change *what* is computed.
 
 use flowdroid_android::{generate_dummy_main, install_platform, CallbackAssociation, EntryPointModel};
 use flowdroid_bench::driver::{corpus_report, droidbench_corpus, run_corpus};
 use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
 use flowdroid_core::InfoflowConfig;
 use flowdroid_droidbench::all_apps;
-use flowdroid_ifds::{IfdsProblem, ParallelSolver, Solver};
+use flowdroid_ifds::{IfdsProblem, IfdsResults, Solver};
 use flowdroid_ir::{Local, MethodId, Place, Program, Stmt, StmtRef};
 
 /// The parallel corpus driver's leak report is byte-for-byte identical
@@ -29,94 +30,30 @@ fn corpus_driver_report_identical_across_thread_counts() {
     assert_eq!(again, baseline, "corpus report not stable across repeat runs");
 }
 
-/// The parallel bidirectional taint engine (forward + backward
-/// propagation as interleaved jobs over the work-stealing scheduler)
-/// produces byte-for-byte identical leak reports to the sequential
-/// solver on every DroidBench app, at every worker count.
-#[test]
-fn parallel_taint_engine_matches_sequential_on_droidbench() {
-    let jobs = droidbench_corpus();
-    let sequential = corpus_report(&run_corpus(&jobs, &InfoflowConfig::default(), 1));
-    assert!(sequential.contains("leak(s)"));
-    for threads in [1usize, 2, 4, 8] {
-        let config = InfoflowConfig::default().with_taint_threads(threads);
-        let report = corpus_report(&run_corpus(&jobs, &config, 1));
-        assert_eq!(report, sequential, "parallel taint report diverged at {threads} threads");
-    }
-}
-
 /// The demand-driven frontend (platform snapshot clone + lazy method
 /// bodies, see `InfoflowConfig::lazy_frontend`) produces byte-for-byte
-/// the same leak report as eager loading on the whole corpus, with the
-/// sequential solver and with the parallel taint engine — laziness must
-/// only move *when* bodies are decoded, never what is analyzed. The
+/// the same leak report as eager loading on the whole corpus — laziness
+/// must only move *when* bodies are decoded, never what is analyzed. The
 /// lazy sweep must also leave at least one body undecoded overall, or
 /// it is not exercising the demand path at all.
 #[test]
 fn lazy_frontend_report_identical_to_eager() {
     use flowdroid_bench::full_corpus;
     let jobs = full_corpus();
-    for taint_threads in [1usize, 4] {
-        let eager = InfoflowConfig::default().with_taint_threads(taint_threads);
-        let lazy = eager.clone().with_lazy_frontend(true);
-        let eager_run = run_corpus(&jobs, &eager, 1);
-        let lazy_run = run_corpus(&jobs, &lazy, 1);
-        assert_eq!(
-            corpus_report(&lazy_run),
-            corpus_report(&eager_run),
-            "lazy report diverged from eager at {taint_threads} taint thread(s)"
-        );
-        let (materialized_eager, _) = eager_run.total_bodies();
-        assert_eq!(materialized_eager, 0, "eager runs must not touch the demand path");
-        let (materialized, skipped) = lazy_run.total_bodies();
-        assert!(materialized > 0, "lazy sweep decoded no bodies on demand");
-        assert!(skipped > 0, "lazy sweep left no body undecoded — nothing was lazy");
-    }
-}
-
-/// Interned and whole-fact keys find the same leaks on the whole
-/// Android corpus (interning is a pure representation change).
-#[test]
-fn interned_and_direct_keys_agree() {
-    let jobs = droidbench_corpus();
-    let interned = corpus_report(&run_corpus(&jobs, &InfoflowConfig::default(), 1));
-    let direct = corpus_report(&run_corpus(
-        &jobs,
-        &InfoflowConfig::default().with_fact_interning(false),
-        1,
-    ));
-    assert_eq!(interned, direct);
-}
-
-/// Bitset-backed tabulation tables (the default) produce byte-identical
-/// corpus reports to the hash-map tables they replaced — sequentially
-/// and through the parallel taint engine at 1 and 4 workers. The table
-/// layout is pure representation; the fixpoint and its canonicalized
-/// reports must not see it.
-#[test]
-fn bitset_tables_report_identical_to_hash_tables() {
-    use flowdroid_bench::full_corpus;
-    let jobs = full_corpus();
-    for taint_threads in [0usize, 1, 4] {
-        let bitset = InfoflowConfig::default().with_taint_threads(taint_threads);
-        let hash = bitset.clone().with_bitset_tables(false);
-        let bitset_run = run_corpus(&jobs, &bitset, 1);
-        let hash_run = run_corpus(&jobs, &hash, 1);
-        assert_eq!(
-            corpus_report(&bitset_run),
-            corpus_report(&hash_run),
-            "bitset-table report diverged from hash tables at {taint_threads} taint thread(s)"
-        );
-        // The sweep must actually exercise both representations.
-        assert!(
-            bitset_run.fact_table_totals().is_some_and(|t| t.rows > 0),
-            "bitset run recorded no table rows at {taint_threads} taint thread(s)"
-        );
-        assert!(
-            hash_run.fact_table_totals().is_none(),
-            "hash-table run unexpectedly reported density counters"
-        );
-    }
+    let eager = InfoflowConfig::default();
+    let lazy = eager.clone().with_lazy_frontend(true);
+    let eager_run = run_corpus(&jobs, &eager, 1);
+    let lazy_run = run_corpus(&jobs, &lazy, 1);
+    assert_eq!(
+        corpus_report(&lazy_run),
+        corpus_report(&eager_run),
+        "lazy report diverged from eager"
+    );
+    let (materialized_eager, _) = eager_run.total_bodies();
+    assert_eq!(materialized_eager, 0, "eager runs must not touch the demand path");
+    let (materialized, skipped) = lazy_run.total_bodies();
+    assert!(materialized > 0, "lazy sweep decoded no bodies on demand");
+    assert!(skipped > 0, "lazy sweep left no body undecoded — nothing was lazy");
 }
 
 /// Fact for [`DefinedLocals`]: `None` is zero, `Some(l)` means local
@@ -203,11 +140,27 @@ impl IfdsProblem for DefinedLocals<'_> {
     }
 }
 
-/// The sharded parallel solver reaches the exact sequential fixed
-/// point — same statements, same fact sets, same propagation count —
-/// on every DroidBench app at 1, 2, 4 and 8 threads.
+/// Reached statements with their facts in a canonical order, plus the
+/// propagation count: the whole observable fixed point of a run.
+fn fixed_point(results: &IfdsResults<Fact>) -> (Vec<(StmtRef, Vec<Fact>)>, u64) {
+    let mut stmts: Vec<StmtRef> = results.reached_stmts().copied().collect();
+    stmts.sort();
+    let facts = stmts
+        .into_iter()
+        .map(|n| {
+            let mut f = results.facts_at(n).to_vec();
+            f.sort();
+            (n, f)
+        })
+        .collect();
+    (facts, results.propagation_count())
+}
+
+/// The generic IFDS solver (hash-set tables over non-id facts) reaches
+/// the same fixed point — same statements, same fact sets, same
+/// propagation count — on repeat runs over every DroidBench app.
 #[test]
-fn parallel_ifds_solver_matches_sequential_on_droidbench() {
+fn ifds_solver_fixed_point_is_stable_on_droidbench() {
     for app in all_apps() {
         let mut p = Program::new();
         let platform = install_platform(&mut p);
@@ -218,32 +171,9 @@ fn parallel_ifds_solver_matches_sequential_on_droidbench() {
         let cg = CallGraph::build(&p, &[dummy], CgAlgorithm::Cha);
         let icfg = Icfg::new(&p, &cg);
         let problem = DefinedLocals { icfg, entry: dummy };
-        let sequential = Solver::new(&icfg, &problem).solve();
-
-        let mut seq_stmts: Vec<StmtRef> = sequential.reached_stmts().copied().collect();
-        seq_stmts.sort();
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = ParallelSolver::new(&icfg, &problem, threads).solve();
-            let mut par_stmts: Vec<StmtRef> = parallel.reached_stmts().copied().collect();
-            par_stmts.sort();
-            assert_eq!(
-                seq_stmts, par_stmts,
-                "{}: reached statements diverged at {threads} threads",
-                app.name
-            );
-            for n in &seq_stmts {
-                let mut a: Vec<Fact> = sequential.facts_at(*n).to_vec();
-                let mut b: Vec<Fact> = parallel.facts_at(*n).to_vec();
-                a.sort();
-                b.sort();
-                assert_eq!(a, b, "{}: facts at {n:?} diverged at {threads} threads", app.name);
-            }
-            assert_eq!(
-                sequential.propagation_count(),
-                parallel.propagation_count(),
-                "{}: propagation count diverged at {threads} threads",
-                app.name
-            );
-        }
+        let first = fixed_point(&Solver::new(&icfg, &problem).solve());
+        assert!(first.1 > 0, "{}: the solver propagated nothing", app.name);
+        let again = fixed_point(&Solver::new(&icfg, &problem).solve());
+        assert_eq!(first, again, "{}: fixed point changed between runs", app.name);
     }
 }

@@ -9,8 +9,7 @@
 
 use crate::cg_cache::{CachedSetup, CgCache};
 use crate::config::InfoflowConfig;
-use crate::intern::{DirectDomain, InternedDomain, InternedHashDomain, SharedInternedKeys};
-use crate::par_solver::ParBiSolver;
+use crate::intern::InternedDomain;
 use crate::results::InfoflowResults;
 use crate::solver::BiSolver;
 use crate::sourcesink::SourceSinkManager;
@@ -75,7 +74,7 @@ impl<'a> Infoflow<'a> {
     pub fn run(&self, program: &Program, entry_points: &[MethodId]) -> InfoflowResults {
         let cg = CallGraph::build(program, entry_points, self.config.cg_algorithm);
         let icfg = Icfg::new(program, &cg);
-        self.solve_with_domain(icfg, self.sources, entry_points)
+        self.solve(icfg, self.sources, entry_points)
     }
 
     /// Like [`Infoflow::run`], but materializes deferred method bodies
@@ -92,41 +91,15 @@ impl<'a> Infoflow<'a> {
         self.run(program, entry_points)
     }
 
-    /// Dispatches on the configured engine: the parallel work-stealing
-    /// engine when `taint_threads > 0`, else the sequential solver —
-    /// each with the configured fact-key and table representation
-    /// (`intern_facts` × `bitset_tables`; bitset rows need id keys, so
-    /// non-interned runs always use hash-map tables).
-    fn solve_with_domain(
+    /// Runs the bidirectional taint solver over `icfg`.
+    fn solve(
         &self,
         icfg: Icfg<'_>,
         sources: &SourceSinkManager,
         entry_points: &[MethodId],
     ) -> InfoflowResults {
-        let c = self.config;
-        if c.taint_threads > 0 {
-            if c.intern_facts && c.bitset_tables {
-                let dom = SharedInternedKeys::new(c.max_access_path_length);
-                ParBiSolver::new(icfg, sources, self.wrapper, c, c.taint_threads, dom)
-                    .solve(entry_points)
-            } else {
-                ParBiSolver::new(
-                    icfg,
-                    sources,
-                    self.wrapper,
-                    c,
-                    c.taint_threads,
-                    flowdroid_ifds::IdentityKeys,
-                )
-                .solve(entry_points)
-            }
-        } else if c.intern_facts && c.bitset_tables {
-            BiSolver::<InternedDomain>::new(icfg, sources, self.wrapper, c).solve(entry_points)
-        } else if c.intern_facts {
-            BiSolver::<InternedHashDomain>::new(icfg, sources, self.wrapper, c).solve(entry_points)
-        } else {
-            BiSolver::<DirectDomain>::new(icfg, sources, self.wrapper, c).solve(entry_points)
-        }
+        BiSolver::<InternedDomain>::new(icfg, sources, self.wrapper, self.config)
+            .solve(entry_points)
     }
 
     /// Runs the full Android pipeline on an already-loaded [`App`]
@@ -157,7 +130,7 @@ impl<'a> Infoflow<'a> {
         }
         let cg = CallGraph::build(program, &[dummy_main], self.config.cg_algorithm);
         let icfg = Icfg::new(program, &cg);
-        let results = self.solve_with_domain(icfg, sources, &[dummy_main]);
+        let results = self.solve(icfg, sources, &[dummy_main]);
         AppAnalysis { dummy_main, model, results }
     }
 
@@ -206,7 +179,7 @@ impl<'a> Infoflow<'a> {
                 program.ensure_body(m);
             }
             let icfg = Icfg::new(program, cg);
-            let results = self.solve_with_domain(icfg, sources, &[dummy_main]);
+            let results = self.solve(icfg, sources, &[dummy_main]);
             return (AppAnalysis { dummy_main, model: model.clone(), results }, true);
         }
 
@@ -234,7 +207,7 @@ impl<'a> Infoflow<'a> {
         cache.insert(key, fingerprint, Arc::clone(&setup));
         let CachedSetup::App { cg, .. } = &*setup else { unreachable!() };
         let icfg = Icfg::new(program, cg);
-        let results = self.solve_with_domain(icfg, sources, &[dummy_main]);
+        let results = self.solve(icfg, sources, &[dummy_main]);
         (AppAnalysis { dummy_main, model, results }, false)
     }
 
@@ -257,7 +230,7 @@ impl<'a> Infoflow<'a> {
                 program.ensure_body(m);
             }
             let icfg = Icfg::new(program, cg);
-            return (self.solve_with_domain(icfg, self.sources, entry_points), true);
+            return (self.solve(icfg, self.sources, entry_points), true);
         }
 
         let log_start = program.materialization_log().len();
@@ -271,7 +244,7 @@ impl<'a> Infoflow<'a> {
         cache.insert(key, fingerprint, Arc::clone(&setup));
         let CachedSetup::Entry { cg, .. } = &*setup else { unreachable!() };
         let icfg = Icfg::new(program, cg);
-        (self.solve_with_domain(icfg, self.sources, entry_points), false)
+        (self.solve(icfg, self.sources, entry_points), false)
     }
 
     /// UI password-field sources for `app` (paper §3: layout-declared

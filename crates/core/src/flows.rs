@@ -2,12 +2,10 @@
 //!
 //! Every method here is a pure function of (statement, fact) plus the
 //! immutable analysis inputs — no solver tables, no worklists — so the
-//! sequential [`BiSolver`](crate::solver::BiSolver) and the parallel
-//! [`ParBiSolver`](crate::par_solver::ParBiSolver) share one set of
-//! flow functions and compute identical fact sets by construction. The
-//! only mutable state is the caller-supplied [`ReachCache`], a memo
-//! table over the immutable call graph that each engine (or worker
-//! thread) owns privately.
+//! forward and backward halves of [`BiSolver`](crate::solver::BiSolver)
+//! share one set of flow functions. The only mutable state is the
+//! caller-supplied [`ReachCache`], a memo table over the immutable call
+//! graph that the solver owns.
 
 use crate::access_path::{AccessPath, ApBase};
 use crate::config::InfoflowConfig;
@@ -22,13 +20,12 @@ use flowdroid_ir::{
 
 /// Memo table for "call site transitively reaches method" queries
 /// (activation-statement call-tree lookups, paper §4.2). The underlying
-/// call-graph reachability is immutable, so engines may keep one cache
-/// per worker thread without coordination.
+/// call-graph reachability is immutable, so the cache never needs
+/// invalidating during a solve.
 pub(crate) type ReachCache = FxHashMap<(StmtRef, MethodId), bool>;
 
 /// The immutable analysis inputs plus the pure flow functions over
-/// them. `Icfg` is `Copy`; the rest are shared borrows, so a `Flows`
-/// value can be referenced from many worker threads.
+/// them. `Icfg` is `Copy`; the rest are shared borrows.
 pub(crate) struct Flows<'a> {
     pub icfg: Icfg<'a>,
     pub sources: &'a SourceSinkManager,

@@ -13,25 +13,24 @@
 //! assignment, which keeps downstream artifacts byte-for-byte
 //! deterministic.
 //!
-//! The [`FactDomain`] trait abstracts the solver over the key choice:
-//! [`InternedDomain`] (id keys, default) and [`DirectDomain`] (the
-//! pre-interning behavior, keeping whole facts as keys) share all
-//! transfer-function code, which is what lets the benchmark driver
-//! compare the two modes on identical inputs.
+//! The [`FactDomain`] trait names the solver's key choice. Its one
+//! implementation is [`InternedDomain`]: id keys over bitset-row
+//! tables.
 
 use crate::access_path::AccessPath;
 use crate::taint::{Fact, Taint};
-use flowdroid_ifds::{BitsetSets, ConcurrentKeyDomain, FactSetDomain, HashSets};
+use flowdroid_ifds::{BitsetSets, FactSetDomain};
 use flowdroid_ir::{fxhash64, FieldId, FxHashMap, FxHashSet, StmtRef};
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock};
 
 // ================= field-sequence arena =================
 
 /// Number of independently locked shards of the field-sequence arena
-/// (power of two). Sharding keeps the arena usable from the parallel
-/// taint workers without a single global lock.
+/// (power of two). Sharding keeps the arena usable from concurrent
+/// solves (corpus-driver and daemon worker threads) without a single
+/// global lock.
 const FIELD_SHARDS: usize = 16;
 
 struct FieldArena {
@@ -221,24 +220,6 @@ impl Interner {
         self.intern_repr(repr)
     }
 
-    /// The id of `f` if (the widened form of) `f` has been interned,
-    /// without interning it. This is the read-only fast path of
-    /// [`SharedInterner`].
-    pub fn lookup_fact(&self, f: &Fact) -> Option<FactId> {
-        let repr = match f {
-            Fact::Zero => FactRepr::Zero,
-            Fact::T(t) => {
-                let ap = t.ap.widened(self.max_ap_len);
-                FactRepr::T {
-                    ap: *self.ap_ids.get(&ap)?,
-                    active: t.active,
-                    activation: t.activation,
-                }
-            }
-        };
-        self.fact_ids.get(&repr).copied()
-    }
-
     /// Reconstructs the fact behind `id`. Since access paths hold
     /// arena-interned field slices, this is a plain `Copy` — no
     /// allocation.
@@ -270,103 +251,15 @@ impl Interner {
     }
 }
 
-// ================= shared (parallel) interner =================
-
-/// An [`Interner`] behind a read/write lock, shared by the parallel
-/// taint workers.
-///
-/// Interning is read-mostly once the fact universe stabilizes: the
-/// common case is a fact already interned, served by `lookup_fact`
-/// under the read lock; only first encounters take the write lock.
-/// Id *values* depend on which worker wins the first-encounter race,
-/// but the *set* of interned facts is the order-independent closure of
-/// flow-function outputs, so counts (and everything keyed back through
-/// `resolve`) stay deterministic.
-#[derive(Debug)]
-pub struct SharedInterner {
-    inner: RwLock<Interner>,
-}
-
-impl SharedInterner {
-    /// Creates a shared interner widening paths longer than
-    /// `max_ap_len` fields.
-    pub fn with_bound(max_ap_len: usize) -> Self {
-        SharedInterner { inner: RwLock::new(Interner::with_bound(max_ap_len)) }
-    }
-
-    /// Interns `f`, taking the write lock only on first encounter.
-    pub fn intern(&self, f: &Fact) -> FactId {
-        if let Some(id) = self.inner.read().unwrap().lookup_fact(f) {
-            return id;
-        }
-        self.inner.write().unwrap().intern_fact(f)
-    }
-
-    /// Reconstructs the fact behind `id`.
-    pub fn resolve(&self, id: FactId) -> Fact {
-        self.inner.read().unwrap().resolve_fact(id)
-    }
-
-    /// `(distinct facts, distinct access paths)` interned so far.
-    pub fn counts(&self) -> (usize, usize) {
-        let i = self.inner.read().unwrap();
-        (i.fact_count(), i.ap_count())
-    }
-
-    /// Number of intern calls that widened their access path.
-    pub fn widened_count(&self) -> u64 {
-        self.inner.read().unwrap().widened_count()
-    }
-}
-
-/// Keys the concurrent tabulators on [`FactId`]s from a shared
-/// interner, with bitset-backed tables ([`BitsetSets`]).
-///
-/// Cloning shares the interner, so the forward and backward tabulators
-/// of one solve agree on ids.
-#[derive(Clone, Debug)]
-pub struct SharedInternedKeys {
-    interner: Arc<SharedInterner>,
-}
-
-impl SharedInternedKeys {
-    /// Creates a domain whose interner widens paths longer than
-    /// `max_ap_len` fields.
-    pub fn new(max_ap_len: usize) -> Self {
-        SharedInternedKeys { interner: Arc::new(SharedInterner::with_bound(max_ap_len)) }
-    }
-}
-
-impl ConcurrentKeyDomain<Fact> for SharedInternedKeys {
-    type Key = FactId;
-    type Sets = BitsetSets;
-
-    fn key(&self, f: &Fact) -> FactId {
-        self.interner.intern(f)
-    }
-
-    fn fact(&self, k: &FactId) -> Fact {
-        self.interner.resolve(*k)
-    }
-
-    fn stats(&self) -> Option<(usize, usize)> {
-        Some(self.interner.counts())
-    }
-
-    fn widened_count(&self) -> u64 {
-        self.interner.widened_count()
-    }
-}
-
 /// The solver's key choice: how facts are represented in its tables,
 /// and which table layout those keys get.
 ///
 /// `intern` is the only way keys are produced and `resolve` the only way
-/// they are read back, so an implementation either hands facts through
-/// unchanged ([`DirectDomain`]) or hash-conses them ([`InternedDomain`],
-/// [`InternedHashDomain`]). `Sets` picks the tabulator's table
+/// they are read back. `Sets` picks the tabulator's table
 /// representation for the keys — bitset rows require dense id keys, so
-/// the choice lives here rather than on the solver.
+/// the choice lives here rather than on the solver. [`InternedDomain`]
+/// is the one implementation; the trait stays because callers name the
+/// solver as `BiSolver::<InternedDomain>`.
 pub trait FactDomain {
     /// The table key type.
     type Key: Clone + Eq + Hash + Debug;
@@ -374,8 +267,7 @@ pub trait FactDomain {
     type Sets: FactSetDomain<Self::Key>;
 
     /// Creates the domain; access paths longer than `max_ap_len` fields
-    /// are widened at the key boundary (ignored by non-interning
-    /// domains, whose keys carry the path verbatim).
+    /// are widened at the key boundary.
     fn new(max_ap_len: usize) -> Self;
     /// Maps a fact to its key.
     fn intern(&mut self, f: &Fact) -> Self::Key;
@@ -385,51 +277,14 @@ pub trait FactDomain {
     fn zero(&self) -> Self::Key;
     /// Returns `true` if `k` is the key of [`Fact::Zero`].
     fn is_zero(&self, k: &Self::Key) -> bool;
-    /// `(distinct facts, distinct access paths)` seen, when tracked.
-    fn stats(&self) -> Option<(usize, usize)>;
-    /// Intern calls that widened their access path (0 when the domain
-    /// does not widen).
-    fn widened_count(&self) -> u64 {
-        0
-    }
-}
-
-/// Keys tables on whole [`Fact`] values (the pre-interning behavior,
-/// kept for the benchmark comparison).
-#[derive(Debug, Default)]
-pub struct DirectDomain;
-
-impl FactDomain for DirectDomain {
-    type Key = Fact;
-    type Sets = HashSets;
-
-    fn new(_max_ap_len: usize) -> Self {
-        DirectDomain
-    }
-
-    fn intern(&mut self, f: &Fact) -> Fact {
-        f.clone()
-    }
-
-    fn resolve(&self, k: &Fact) -> Fact {
-        k.clone()
-    }
-
-    fn zero(&self) -> Fact {
-        Fact::Zero
-    }
-
-    fn is_zero(&self, k: &Fact) -> bool {
-        k.is_zero()
-    }
-
-    fn stats(&self) -> Option<(usize, usize)> {
-        None
-    }
+    /// `(distinct facts, distinct access paths)` seen.
+    fn stats(&self) -> (usize, usize);
+    /// Intern calls that widened their access path.
+    fn widened_count(&self) -> u64;
 }
 
 /// Keys tables on [`FactId`]s via an [`Interner`], with bitset-backed
-/// tables (the default).
+/// tables.
 #[derive(Debug)]
 pub struct InternedDomain {
     interner: Interner,
@@ -459,49 +314,8 @@ impl FactDomain for InternedDomain {
         *k == FactId::ZERO
     }
 
-    fn stats(&self) -> Option<(usize, usize)> {
-        Some((self.interner.fact_count(), self.interner.ap_count()))
-    }
-
-    fn widened_count(&self) -> u64 {
-        self.interner.widened_count()
-    }
-}
-
-/// [`FactId`] keys with the original hash-map tables — the
-/// `bitset_tables = false` escape hatch, kept for one release so the
-/// table representations can be compared on identical inputs.
-#[derive(Debug)]
-pub struct InternedHashDomain {
-    interner: Interner,
-}
-
-impl FactDomain for InternedHashDomain {
-    type Key = FactId;
-    type Sets = HashSets;
-
-    fn new(max_ap_len: usize) -> Self {
-        InternedHashDomain { interner: Interner::with_bound(max_ap_len) }
-    }
-
-    fn intern(&mut self, f: &Fact) -> FactId {
-        self.interner.intern_fact(f)
-    }
-
-    fn resolve(&self, k: &FactId) -> Fact {
-        self.interner.resolve_fact(*k)
-    }
-
-    fn zero(&self) -> FactId {
-        FactId::ZERO
-    }
-
-    fn is_zero(&self, k: &FactId) -> bool {
-        *k == FactId::ZERO
-    }
-
-    fn stats(&self) -> Option<(usize, usize)> {
-        Some((self.interner.fact_count(), self.interner.ap_count()))
+    fn stats(&self) -> (usize, usize) {
+        (self.interner.fact_count(), self.interner.ap_count())
     }
 
     fn widened_count(&self) -> u64 {
@@ -568,20 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn domains_agree_on_zero() {
-        let mut d = DirectDomain::new(5);
+    fn domain_zero_is_interned_first() {
         let mut n = InternedDomain::new(5);
-        let mut h = InternedHashDomain::new(5);
-        let z1 = d.intern(&Fact::Zero);
-        let z2 = n.intern(&Fact::Zero);
-        let z3 = h.intern(&Fact::Zero);
-        assert!(d.is_zero(&z1) && n.is_zero(&z2) && h.is_zero(&z3));
-        assert_eq!(d.zero(), z1);
-        assert_eq!(n.zero(), z2);
-        assert_eq!(h.zero(), z3);
-        assert!(d.stats().is_none());
-        assert_eq!(n.stats(), Some((1, 0)));
-        assert_eq!(h.stats(), Some((1, 0)));
+        let z = n.intern(&Fact::Zero);
+        assert!(n.is_zero(&z));
+        assert_eq!(n.zero(), z);
+        assert_eq!(n.stats(), (1, 0));
     }
 
     /// Distinct over-long extensions of one prefix collapse onto the
@@ -612,38 +418,5 @@ mod tests {
             }
             Fact::Zero => panic!("widened fact resolved to zero"),
         }
-    }
-
-    /// `lookup_fact` agrees with `intern_fact` without mutating.
-    #[test]
-    fn lookup_matches_intern() {
-        let mut i = Interner::with_bound(3);
-        let f = Fact::T(Taint::active(ap(2, &[4])));
-        assert_eq!(i.lookup_fact(&f), None);
-        let id = i.intern_fact(&f);
-        assert_eq!(i.lookup_fact(&f), Some(id));
-        assert_eq!(i.lookup_fact(&Fact::Zero), Some(FactId::ZERO));
-    }
-
-    /// The shared interner agrees with itself across threads: every
-    /// thread's id for a fact resolves back to that fact.
-    #[test]
-    fn shared_interner_round_trips_across_threads() {
-        let s = SharedInterner::with_bound(5);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let s = &s;
-                scope.spawn(move || {
-                    for l in 0..50u32 {
-                        let f = Fact::T(Taint::active(ap(l, &[(l % 3) as usize])));
-                        let id = s.intern(&f);
-                        assert_eq!(s.resolve(id), f);
-                    }
-                });
-            }
-        });
-        // 50 distinct facts + zero, regardless of interleaving.
-        assert_eq!(s.counts().0, 51);
-        assert_eq!(s.widened_count(), 0);
     }
 }

@@ -36,7 +36,6 @@ pub mod config;
 mod flows;
 pub mod icc;
 pub mod intern;
-mod par_solver;
 pub mod results;
 pub mod solver;
 pub mod sourcesink;
@@ -49,11 +48,8 @@ pub use analysis::{AppAnalysis, Infoflow};
 pub use cg_cache::{CachedSetup, CgCache, CgCacheStats};
 pub use config::{InfoflowConfig, ProgressEvent, ProgressSink};
 pub use icc::{analyze_app_linked, IccResults};
-pub use intern::{
-    ApId, DirectDomain, FactDomain, FactId, InternedDomain, InternedHashDomain, Interner,
-    SharedInternedKeys, SharedInterner,
-};
-pub use flowdroid_ifds::{AbortHandle, AbortReason, SchedulerStats, TableStats};
+pub use intern::{ApId, FactDomain, FactId, InternedDomain, Interner};
+pub use flowdroid_ifds::{AbortHandle, AbortReason, TableStats};
 pub use results::{InfoflowResults, Leak};
 pub use sourcesink::{SourceSinkManager, SourceSinkParseError};
 pub use summary_cache::{flush_summary_cache, SummaryCacheStats};

@@ -47,11 +47,10 @@ pub struct InfoflowResults {
     pub backward_propagations: u64,
     /// Methods reachable from the entry points.
     pub reachable_methods: usize,
-    /// Distinct facts hash-consed by the solver's interner (0 when
-    /// interning is disabled).
+    /// Distinct facts hash-consed by the solver's interner (including
+    /// the zero fact, so 0 only on a result the solver did not build).
     pub distinct_facts: usize,
-    /// Distinct access paths hash-consed by the solver's interner (0
-    /// when interning is disabled).
+    /// Distinct access paths hash-consed by the solver's interner.
     pub distinct_aps: usize,
     /// Wall-clock duration of the data-flow phase.
     pub duration: std::time::Duration,
@@ -63,12 +62,8 @@ pub struct InfoflowResults {
     pub aborted: bool,
     /// Why the run aborted, when [`InfoflowResults::aborted`] is set.
     pub abort_reason: Option<AbortReason>,
-    /// Work-stealing scheduler counters, present when the parallel taint
-    /// engine ran ([`crate::InfoflowConfig::taint_threads`] > 0).
-    pub scheduler: Option<flowdroid_ifds::SchedulerStats>,
-    /// Tabulation-table density and widening counters, present when the
-    /// solver ran on bitset-backed tables
-    /// ([`crate::InfoflowConfig::bitset_tables`]).
+    /// Tabulation-table density and widening counters, present once the
+    /// solver has touched a table row or widened a fact.
     pub fact_tables: Option<flowdroid_ifds::TableStats>,
     /// Summary-cache counters, present when a persistent summary store
     /// was configured ([`crate::InfoflowConfig::summary_cache`]).

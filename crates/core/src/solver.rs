@@ -12,14 +12,12 @@
 //! *before* `n`; a backward edge `(d1, n, d)` means `d` holds *after*
 //! `n` and the solver is searching upward for its aliases.
 //!
-//! The transfer functions live in [`Flows`] and are shared with the
-//! parallel engine ([`crate::par_solver`]); this driver owns only the
+//! The transfer functions live in [`Flows`]; this driver owns only the
 //! tabulation state. Every cross-solver handshake (summaries ×
 //! incoming contexts, forward × backward caller facts) is written so
 //! each side first records its own half and then reads the other's —
 //! the "covered pair" discipline that makes the computed fixpoint
-//! independent of processing order, which in turn is what lets the
-//! parallel engine produce bit-identical results.
+//! independent of processing order.
 //!
 //! Provenance (for leak-path reconstruction) is also canonical: every
 //! propagation offers its origin and *all* distinct origins are kept,
@@ -27,14 +25,12 @@
 //! deterministic breadth-first search — does not depend on discovery
 //! order.
 //!
-//! The solver is generic over a [`FactDomain`]: with the default
-//! [`InternedDomain`](crate::intern::InternedDomain) every table keys on
-//! `u32` fact ids (hash-consed by the domain's interner), popped edges
-//! are resolved to real [`Fact`]s once per statement visit, and each
-//! produced fact is interned once before fan-out to successors /
-//! return sites. [`DirectDomain`](crate::intern::DirectDomain) keys on
-//! whole facts instead, preserving the pre-interning behavior for
-//! benchmark comparison.
+//! The solver is generic over a [`FactDomain`], whose one
+//! implementation is [`InternedDomain`](crate::intern::InternedDomain):
+//! every table keys on `u32` fact ids (hash-consed by the domain's
+//! interner) stored in bitset rows, popped edges are resolved to real
+//! [`Fact`]s once per statement visit, and each produced fact is
+//! interned once before fan-out to successors / return sites.
 
 use crate::config::InfoflowConfig;
 use crate::flows::{Flows, ReachCache};
@@ -51,7 +47,8 @@ use flowdroid_ir::{FxHashMap, MethodId, Program, Stmt, StmtRef};
 /// Edges popped between [`AbortHandle`] polls in the sequential loop.
 const ABORT_CHECK_EVERY: usize = 128;
 
-/// The bidirectional solver, generic over the fact-key representation.
+/// The bidirectional solver, generic over the fact-key representation
+/// (see [`FactDomain`]).
 pub struct BiSolver<'a, D: FactDomain> {
     flows: Flows<'a>,
     dom: D,
@@ -605,7 +602,7 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
             });
         }
         leaks.sort_by_key(|l| (l.sink, l.source));
-        let (distinct_facts, distinct_aps) = self.dom.stats().unwrap_or((0, 0));
+        let (distinct_facts, distinct_aps) = self.dom.stats();
         let fact_tables = {
             let mut t = self.fw.table_stats();
             t.merge(&self.bw.table_stats());
@@ -622,7 +619,6 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
             duration,
             aborted: self.abort_reason.is_some(),
             abort_reason: self.abort_reason,
-            scheduler: None,
             fact_tables,
             summary_cache,
         }

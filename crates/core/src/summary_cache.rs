@@ -1,7 +1,7 @@
 //! The persistent summary cache: incremental re-analysis across apps.
 //!
-//! Bridges the taint engines to the on-disk end-summary store of
-//! `flowdroid-summaries`. Before tabulating a callee, the engines ask
+//! Bridges the taint solver to the on-disk end-summary store of
+//! `flowdroid-summaries`. Before tabulating a callee, the solver asks
 //! [`SummaryCacheSession::lookup`] whether end summaries for
 //! `(callee, entry fact)` were persisted by an earlier run *under the
 //! same code and configuration*; on a hit the callee's body is not
@@ -35,10 +35,9 @@
 //! when the session opens; per-process arena ids never reach the disk.
 //! The configuration context (bound, switches, source/sink and wrapper
 //! fingerprints) is hashed into the store identity, so incompatible
-//! configurations never share summaries. Thread count, propagation
-//! budget and fact-interning mode are deliberately *excluded* — they
-//! change engine mechanics, not the fixpoint — so sequential and
-//! parallel runs share one cache.
+//! configurations never share summaries. Propagation budget and path
+//! tracking are deliberately *excluded* — they change what a run
+//! reports, not the fixpoint — so such runs share one cache.
 
 use crate::access_path::{AccessPath, ApBase};
 use crate::config::InfoflowConfig;
@@ -463,12 +462,10 @@ mod tests {
         // Different source lists change the context.
         let fewer = SourceSinkManager::new();
         assert_ne!(h, context_hash(&base, &fewer, &wrapper));
-        // Engine mechanics do not.
-        let mut threads = base.clone();
-        threads.taint_threads = 4;
-        threads.intern_facts = false;
-        threads.track_paths = false;
-        assert_eq!(h, context_hash(&threads, &sources, &wrapper));
+        // Path tracking does not: it shapes reports, not summaries.
+        let mut untracked = base.clone();
+        untracked.track_paths = false;
+        assert_eq!(h, context_hash(&untracked, &sources, &wrapper));
     }
 
     #[test]

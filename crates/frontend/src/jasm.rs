@@ -71,7 +71,8 @@ impl std::error::Error for ParseError {}
 /// # Errors
 ///
 /// Returns [`ParseError`] on syntax errors, unknown locals/labels,
-/// unresolvable resource references, or class redeclaration.
+/// unresolvable resource references, or a class, field or method
+/// declared twice (a class already in `program` counts).
 pub fn parse_jasm(
     program: &mut Program,
     resources: &ResourceTable,
@@ -301,6 +302,7 @@ struct AstFile {
 #[derive(Debug)]
 struct AstClass {
     name: String,
+    line: u32,
     is_interface: bool,
     is_abstract: bool,
     extends: Option<String>,
@@ -325,6 +327,16 @@ struct AstMethod {
     is_native: bool,
     is_abstract: bool,
     body: Option<Vec<AstStmt>>,
+}
+
+impl AstMethod {
+    /// Same name, parameter types and return type: the two would map to
+    /// one method subsignature.
+    fn same_subsig(&self, other: &AstMethod) -> bool {
+        self.name == other.name
+            && self.ret == other.ret
+            && self.params.iter().map(|p| &p.1).eq(other.params.iter().map(|p| &p.1))
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -520,6 +532,7 @@ impl Parser<'_> {
     }
 
     fn parse_class(&mut self) -> Result<AstClass, ParseError> {
+        let line = self.line();
         let is_abstract = self.eat_kw("abstract");
         let is_interface = if self.eat_kw("interface") {
             true
@@ -550,6 +563,7 @@ impl Parser<'_> {
             if self.peek().is_none() {
                 return Err(self.err("unterminated class body"));
             }
+            let member_line = self.line();
             // Member modifiers may appear in any order.
             let (mut is_static, mut is_native, mut is_abs) = (false, false, false);
             loop {
@@ -570,9 +584,22 @@ impl Parser<'_> {
                 let fname = self.ident("field name")?;
                 self.expect(&Tok::Colon, "`:`")?;
                 let ty = self.parse_type()?;
+                if fields.iter().any(|f: &AstField| f.name == fname) {
+                    return Err(ParseError {
+                        message: format!("field `{fname}` declared twice on class `{name}`"),
+                        line: member_line,
+                    });
+                }
                 fields.push(AstField { name: fname, ty, is_static });
             } else if self.eat_kw("method") {
-                methods.push(self.parse_method(is_static, is_native, is_abs || is_interface)?);
+                let m = self.parse_method(is_static, is_native, is_abs || is_interface)?;
+                if methods.iter().any(|o: &AstMethod| o.same_subsig(&m)) {
+                    return Err(ParseError {
+                        message: format!("method `{}` declared twice on class `{name}`", m.name),
+                        line: member_line,
+                    });
+                }
+                methods.push(m);
             } else {
                 return Err(self.err(format!(
                     "expected `field` or `method`, found {:?}",
@@ -580,7 +607,7 @@ impl Parser<'_> {
                 )));
             }
         }
-        Ok(AstClass { name, is_interface, is_abstract, extends, implements, fields, methods })
+        Ok(AstClass { name, line, is_interface, is_abstract, extends, implements, fields, methods })
     }
 
     fn parse_method(
@@ -971,6 +998,17 @@ fn lower(
     resources: &ResourceTable,
     ast: &AstFile,
 ) -> Result<Vec<ClassId>, ParseError> {
+    // A class declared twice — in this file, or already in the program
+    // (a platform class included) — is an error, caught before anything
+    // is declared.
+    for (i, c) in ast.classes.iter().enumerate() {
+        let declared =
+            program.find_class(&c.name).is_some_and(|id| program.class(id).is_declared());
+        if declared || ast.classes[..i].iter().any(|o| o.name == c.name) {
+            let message = format!("class `{}` declared twice", c.name);
+            return Err(ParseError { message, line: c.line });
+        }
+    }
     // Pass 1: declare classes, fields and method signatures.
     let mut class_ids = Vec::new();
     for c in &ast.classes {
@@ -1587,5 +1625,50 @@ class K {
         let body = p.method(m).body().unwrap();
         assert_eq!(body.line(0), 3);
         assert_eq!(body.line(1), 4);
+    }
+
+    /// Every redeclaration `Program::declare_*` would assert on is a
+    /// parse error with the offending line, and leaves nothing half
+    /// declared for the class-level cases.
+    #[test]
+    fn duplicate_declarations_are_parse_errors() {
+        let cases = [
+            ("class A { }\nclass A { }", 2, "class `A` declared twice"),
+            ("class B {\n  field f: int\n  field f: java.lang.String\n}", 3, "field `f`"),
+            (
+                "class C {\n  method m(x: int) -> void { return }\n  \
+                 method m(y: int) -> void { return }\n}",
+                3,
+                "method `m`",
+            ),
+            (
+                "interface D {\n  method m() -> int\n  abstract method m() -> int\n}",
+                3,
+                "method `m`",
+            ),
+        ];
+        for (src, line, what) in cases {
+            let mut p = Program::new();
+            let err = parse_jasm(&mut p, &ResourceTable::new(), src).unwrap_err();
+            assert!(err.message.contains(what), "{err}");
+            assert_eq!(err.line, line, "{err}");
+        }
+        // Overloads differ in parameter types, so they are not duplicates.
+        parse_ok(
+            "class E {\n  method m(x: int) -> void { return }\n  \
+             method m(x: long) -> void { return }\n}",
+        );
+
+        // A class already in the program: declared by an earlier parse,
+        // or by the frozen base an overlay program reads through.
+        let mut p = Program::new();
+        parse_jasm(&mut p, &ResourceTable::new(), "class F { }").unwrap();
+        let err =
+            parse_jasm(&mut p, &ResourceTable::new(), "class G { }\nclass F { }").unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (2, "class `F` declared twice"));
+        assert!(p.find_class("G").is_none(), "nothing is declared before the check");
+        let mut overlay = Program::overlay(p.freeze());
+        let err = parse_jasm(&mut overlay, &ResourceTable::new(), "class F { }").unwrap_err();
+        assert!(err.message.contains("class `F` declared twice"), "{err}");
     }
 }

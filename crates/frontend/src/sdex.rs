@@ -709,7 +709,8 @@ fn read_header(bytes: &[u8]) -> Result<(Vec<String>, usize), SdexError> {
 /// # Errors
 ///
 /// Returns [`SdexError`] on truncated input, bad magic/version, invalid
-/// indices, malformed descriptors or class redeclaration.
+/// indices, malformed descriptors, or a class, field or method declared
+/// twice.
 pub fn decode(program: &mut Program, bytes: &[u8]) -> Result<Vec<ClassId>, SdexError> {
     let (strings, body_start) = read_header(bytes)?;
     let mut dec = Decoder { bytes, pos: body_start, strings: &strings, program };
@@ -772,7 +773,8 @@ impl BodySource for LazySdex {
 /// # Errors
 ///
 /// Returns [`SdexError`] on truncated input, bad magic/version, invalid
-/// indices, malformed descriptors or class redeclaration.
+/// indices, malformed descriptors, or a class, field or method declared
+/// twice.
 pub fn decode_lazy(program: &mut Program, bytes: Arc<[u8]>) -> Result<Vec<ClassId>, SdexError> {
     let (strings, body_start) = read_header(&bytes)?;
     let headers = {
@@ -824,6 +826,10 @@ fn decode_class_decl(dec: &mut Decoder<'_, '_, '_>) -> Result<ClassHeader, SdexE
         let fname = dec.str_idx()?;
         let fty = dec.type_desc()?;
         let is_static = dec.u8()? == 1;
+        let sym = dec.program.intern(&fname);
+        if dec.program.class(cid).field_by_name(sym).is_some() {
+            return Err(dec.err(format!("field {fname} declared twice on class {name}")));
+        }
         dec.program.declare_field(cid, &fname, fty, is_static);
     }
     let nmethods = dec.uleb()? as usize;
@@ -837,6 +843,11 @@ fn decode_class_decl(dec: &mut Decoder<'_, '_, '_>) -> Result<ClassHeader, SdexE
             params.push(dec.type_desc()?);
         }
         let mflags = dec.u8()?;
+        let name_sym = dec.program.intern(&mname);
+        let subsig = SubSig { name: name_sym, params: params.clone(), ret: ret.clone() };
+        if dec.program.class(cid).method_by_subsig(&subsig).is_some() {
+            return Err(dec.err(format!("method {mname} declared twice on class {name}")));
+        }
         let mid = dec.program.declare_method(cid, &mname, params, ret, mflags & 1 != 0);
         if mflags & 2 != 0 {
             dec.program.set_native(mid, true);

@@ -247,3 +247,42 @@ class demo.App extends java.lang.Object {
         ProgramPrinter::new(&via).class_to_string(via_ids[0]),
     );
 }
+
+/// Encodes `src`, then renames every `dupB` in the string pool to
+/// `dupA`: the image then declares two members under one name, which
+/// no `Program` can hold and so no encoder can produce.
+fn image_with_renamed_member(src: &str) -> Vec<u8> {
+    let mut p = Program::new();
+    let ids = parse_jasm(&mut p, &ResourceTable::new(), src).unwrap();
+    let mut bytes = sdex::encode(&p, &ids);
+    let at = bytes.windows(4).position(|w| w == b"dupB").expect("name in the string pool");
+    bytes[at..at + 4].copy_from_slice(b"dupA");
+    bytes
+}
+
+/// A class, field or method an image declares twice is a decode error
+/// on both the eager and the lazy path, never a panic in
+/// `Program::declare_*`.
+#[test]
+fn duplicate_declarations_are_decode_errors() {
+    let fields = image_with_renamed_member("class T {\n  field dupA: int\n  field dupB: int\n}");
+    let methods = image_with_renamed_member(
+        "class T {\n  method dupA(x: int) -> void { return }\n  \
+         method dupB(y: int) -> void { return }\n}",
+    );
+    for (bytes, what) in [(&fields, "field dupA"), (&methods, "method dupA")] {
+        let err = sdex::decode(&mut Program::new(), bytes).unwrap_err();
+        assert!(err.to_string().contains(what), "{err}");
+        let err = sdex::decode_lazy(&mut Program::new(), bytes.clone().into()).unwrap_err();
+        assert!(err.to_string().contains(what), "{err}");
+    }
+
+    // The same class decoded twice into one program.
+    let mut p = Program::new();
+    let ids = parse_jasm(&mut p, &ResourceTable::new(), "class U { }").unwrap();
+    let bytes = sdex::encode(&p, &ids);
+    let mut target = Program::new();
+    sdex::decode(&mut target, &bytes).unwrap();
+    let err = sdex::decode(&mut target, &bytes).unwrap_err();
+    assert!(err.to_string().contains("class U already declared"), "{err}");
+}

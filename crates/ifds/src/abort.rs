@@ -10,7 +10,7 @@
 //! The handle latches the **first** abort cause it observes
 //! ([`AbortReason`]); later causes never overwrite it, so a job that
 //! was cancelled milliseconds before its deadline reports `Cancelled`
-//! on every thread that asks, regardless of which worker noticed first.
+//! on every thread that asks, whichever thread noticed first.
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;

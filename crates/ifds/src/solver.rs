@@ -16,11 +16,6 @@ pub struct IfdsResults<F> {
 }
 
 impl<F: Clone + Eq + Hash> IfdsResults<F> {
-    /// Assembles results from raw parts (used by the parallel solver).
-    pub(crate) fn from_parts(facts: HashMap<StmtRef, Vec<F>>, propagation_count: u64) -> Self {
-        IfdsResults { facts, propagation_count }
-    }
-
     /// Facts holding before `n` (empty if `n` was never reached).
     pub fn facts_at(&self, n: StmtRef) -> &[F] {
         self.facts.get(&n).map_or(&[], Vec::as_slice)

@@ -2,7 +2,7 @@
 //! the IFDS solver's summaries, context sensitivity and fixpoints.
 
 use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
-use flowdroid_ifds::{IfdsProblem, ParallelSolver, Solver};
+use flowdroid_ifds::{IfdsProblem, Solver};
 use flowdroid_ir::{
     Local, MethodBuilder, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef, Type,
 };
@@ -243,10 +243,10 @@ fn recursion_reaches_fixed_point() {
     assert_eq!(sink_arg_tainted(&icfg, &results, main), vec![true]);
 }
 
-/// The parallel solver reaches the identical fixed point as the
-/// sequential solver (the paper's Heros is multi-threaded).
+/// Two calls of one identity method keep their contexts apart: only
+/// the call fed a tainted argument returns a tainted value.
 #[test]
-fn parallel_solver_matches_sequential() {
+fn identity_calls_keep_contexts_apart() {
     let mut p = Program::new();
     declare_env(&mut p);
     let c = p.declare_class("Main", None, &[]);
@@ -279,29 +279,8 @@ fn parallel_solver_matches_sequential() {
     let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
     let icfg = Icfg::new(&p, &cg);
     let problem = ToyTaint { icfg, entry: main };
-    let sequential = Solver::new(&icfg, &problem).solve();
-    for threads in [1, 2, 4, 8] {
-        let parallel = ParallelSolver::new(&icfg, &problem, threads).solve();
-        // Identical fact sets at every reached statement.
-        let mut seq_stmts: Vec<_> = sequential.reached_stmts().collect();
-        seq_stmts.sort();
-        let mut par_stmts: Vec<_> = parallel.reached_stmts().collect();
-        par_stmts.sort();
-        assert_eq!(seq_stmts, par_stmts, "threads={threads}");
-        for n in sequential.reached_stmts() {
-            let mut a: Vec<_> = sequential.facts_at(*n).to_vec();
-            let mut b: Vec<_> = parallel.facts_at(*n).to_vec();
-            a.sort_by_key(|f| format!("{f:?}"));
-            b.sort_by_key(|f| format!("{f:?}"));
-            assert_eq!(a, b, "facts at {n:?} with {threads} threads");
-        }
-        assert_eq!(
-            sequential.propagation_count(),
-            parallel.propagation_count(),
-            "the fixed point is unique (threads={threads})"
-        );
-    }
-    assert_eq!(sink_arg_tainted(&icfg, &sequential, main), vec![true, false]);
+    let results = Solver::new(&icfg, &problem).solve();
+    assert_eq!(sink_arg_tainted(&icfg, &results, main), vec![true, false]);
 }
 
 #[test]

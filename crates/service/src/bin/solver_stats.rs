@@ -1,15 +1,12 @@
-//! Emits `BENCH_solver.json`: solver performance across four mode
-//! families — sequential with whole-fact keys, sequential with
-//! interned `u32` keys (the default), the parallel corpus driver at
-//! 1/2/4/8 threads, and the parallel *taint engine* (work-stealing
-//! bidirectional solver) at 1/2/4/8 workers — over the full
-//! DroidBench + SecuriBench corpus. Parallel-taint modes report the
-//! scheduler counters (pushes, steals, claims, shard occupancy).
+//! Emits `BENCH_solver.json`: solver performance over the full
+//! DroidBench + SecuriBench corpus for the one taint engine (interned
+//! `u32` fact ids over bitset tables), run sequentially, through the
+//! parallel corpus driver at 1/2/4/8 threads, through the demand-driven
+//! frontend, and cold/warm against the persistent summary cache.
 //!
-//! Heap allocations are counted with a wrapping global allocator, so
-//! the interned-vs-direct comparison measures exactly what interning
-//! buys. Leak reports are compared byte-for-byte across every mode;
-//! the binary exits non-zero if any run diverges.
+//! Heap allocations are counted with a wrapping global allocator.
+//! Leak reports are compared byte-for-byte across every mode; the
+//! binary exits non-zero if any run diverges.
 //!
 //! The `demand-lazy` mode runs the corpus through the demand-driven
 //! frontend (platform snapshot clone + lazy method bodies); its report
@@ -34,9 +31,9 @@
 //! daemon with mixed-priority traffic to compare high- vs
 //! batch-priority latency percentiles, overloads a capped queue until
 //! submissions bounce with `rejected` backpressure, runs a cancel
-//! storm, and replays the corpus with `--stream`-style streaming at 1
-//! and 4 taint threads to prove the streamed final report is
-//! byte-identical to the non-streamed one. Results land in a
+//! storm, and replays the corpus with `--stream`-style streaming to
+//! prove the streamed final report is byte-identical to the
+//! non-streamed one. Results land in a
 //! `"service_load"` section of the same output file; the binary exits
 //! non-zero if any tier records no warm hit, a foreign namespace sees
 //! another tenant's summaries, high-priority p99 does not beat batch
@@ -45,7 +42,7 @@
 //!
 //! `--mode ground-truth` runs the seeded synthetic corpus from
 //! `flowdroid-truth` instead of the benchmark corpus: it sweeps every
-//! engine configuration (solver × table layout × frontend × cache
+//! engine configuration (frontend × callgraph cache × summary-cache
 //! temperature) over the generated apps, scores the reference engine
 //! per category against each app's ground-truth manifest, probes the
 //! access-path k-limit on the widening chains, re-checks the ICC pairs
@@ -62,7 +59,7 @@
 //! `BENCH_solver.json`).
 
 use flowdroid_bench::driver::{corpus_report, full_corpus, run_corpus, CorpusJob, CorpusRun};
-use flowdroid_core::{InfoflowConfig, SchedulerStats, SummaryCacheStats, TableStats};
+use flowdroid_core::{InfoflowConfig, SummaryCacheStats, TableStats};
 use flowdroid_service::{Client, Daemon, DaemonOptions, JobResult, Listen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -109,7 +106,6 @@ struct ModeStats {
     allocations: u64,
     distinct_facts: usize,
     distinct_aps: usize,
-    scheduler: Option<SchedulerStats>,
     fact_tables: Option<TableStats>,
     summary_cache: Option<SummaryCacheStats>,
     report: String,
@@ -147,7 +143,6 @@ fn measure(
         allocations,
         distinct_facts: run.total_distinct_facts(),
         distinct_aps: run.total_distinct_aps(),
-        scheduler: run.scheduler_totals(),
         fact_tables: run.fact_table_totals(),
         summary_cache: run.summary_cache_totals(),
         report: corpus_report(&run),
@@ -167,24 +162,6 @@ fn summary_cache_json(s: &Option<SummaryCacheStats>) -> String {
     }
 }
 
-fn scheduler_json(s: &Option<SchedulerStats>) -> String {
-    match s {
-        None => "null".to_string(),
-        Some(s) => format!(
-            concat!(
-                "{{ \"shards\": {}, \"pushed\": {}, \"steals\": {}, \"claims\": {}, ",
-                "\"occupied_shards\": {}, \"max_shard_pushes\": {} }}"
-            ),
-            s.shards,
-            s.pushed,
-            s.steals,
-            s.claims,
-            s.occupied_shards(),
-            s.max_shard_pushes()
-        ),
-    }
-}
-
 fn fact_tables_json(s: &Option<TableStats>) -> String {
     match s {
         None => "null".to_string(),
@@ -198,9 +175,9 @@ fn fact_tables_json(s: &Option<TableStats>) -> String {
     }
 }
 
-/// Interning counters as JSON: `null` when untracked (interning off —
-/// the interner always holds at least the zero fact when it runs, so
-/// `0` can only mean "not measured" and is reported as such).
+/// Interning counters as JSON: `null` when untracked (the interner
+/// always holds at least the zero fact when the solver runs, so `0` can
+/// only mean "not measured" and is reported as such).
 fn count_json(n: usize) -> String {
     if n == 0 {
         "null".to_string()
@@ -227,7 +204,6 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
             "      \"allocations\": {},\n",
             "      \"distinct_facts\": {},\n",
             "      \"distinct_aps\": {},\n",
-            "      \"scheduler\": {},\n",
             "      \"fact_tables\": {},\n",
             "      \"summary_cache\": {},\n",
             "      \"report_identical_to_baseline\": {}\n",
@@ -247,7 +223,6 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         m.allocations,
         count_json(m.distinct_facts),
         count_json(m.distinct_aps),
-        scheduler_json(&m.scheduler),
         fact_tables_json(&m.fact_tables),
         summary_cache_json(&m.summary_cache),
         report_identical
@@ -305,20 +280,11 @@ fn run_full(out_path: &str) {
         jobs.len()
     );
 
-    let direct = InfoflowConfig::default().with_fact_interning(false);
     let interned = InfoflowConfig::default();
 
     let mut modes = Vec::new();
-    eprintln!("running sequential-direct (whole-fact keys) ...");
-    modes.push(measure("sequential-direct", &jobs, &direct, 1));
     eprintln!("running sequential-interned (u32 fact ids, bitset tables) ...");
     modes.push(measure("sequential-interned", &jobs, &interned, 1));
-    // The table-representation toggle: same id keys, nested hash maps
-    // instead of bitset rows. What the bitset tables buy is the delta
-    // between this row and sequential-interned.
-    let interned_hash = InfoflowConfig::default().with_bitset_tables(false);
-    eprintln!("running sequential-interned-hash (u32 fact ids, hash-map tables) ...");
-    modes.push(measure("sequential-interned-hash", &jobs, &interned_hash, 1));
     for threads in [1usize, 2, 4, 8] {
         eprintln!("running parallel corpus driver with {threads} thread(s) ...");
         modes.push(measure(
@@ -333,25 +299,6 @@ fn run_full(out_path: &str) {
             threads,
         ));
     }
-    // The parallel *taint engine*: the corpus driver stays on one
-    // worker so the measured scaling is the solver's own.
-    let mut taint_configs = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        taint_configs.push((
-            match threads {
-                1 => "parallel-taint-1",
-                2 => "parallel-taint-2",
-                4 => "parallel-taint-4",
-                _ => "parallel-taint-8",
-            },
-            InfoflowConfig::default().with_taint_threads(threads),
-        ));
-    }
-    for (name, config) in &taint_configs {
-        eprintln!("running parallel taint engine ({name}) ...");
-        modes.push(measure(name, &jobs, config, 1));
-    }
-
     // The demand-driven frontend: each job clones the shared platform
     // snapshot and decodes only the method bodies the callgraph
     // closure reaches. Reports must stay byte-identical to eager
@@ -376,13 +323,6 @@ fn run_full(out_path: &str) {
     let baseline_report = modes[0].report.clone();
     let reports_identical = modes.iter().all(|m| m.report == baseline_report);
 
-    let direct_allocs = modes[0].allocations;
-    let interned_allocs = modes[1].allocations;
-    let alloc_reduction = if direct_allocs > 0 {
-        1.0 - interned_allocs as f64 / direct_allocs as f64
-    } else {
-        0.0
-    };
     let wall_1t = modes.iter().find(|m| m.name == "parallel-1").unwrap().wall_ms;
     let speedup = |name: &str| {
         let w = modes.iter().find(|m| m.name == name).unwrap().wall_ms;
@@ -409,54 +349,12 @@ fn run_full(out_path: &str) {
     }
     writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"comparison\": {{").unwrap();
-    writeln!(json, "    \"direct_allocations\": {direct_allocs},").unwrap();
-    writeln!(json, "    \"interned_allocations\": {interned_allocs},").unwrap();
-    writeln!(json, "    \"interning_alloc_reduction\": {alloc_reduction:.4},").unwrap();
-    writeln!(
-        json,
-        "    \"interning_strictly_fewer_allocations\": {},",
-        interned_allocs < direct_allocs
-    )
-    .unwrap();
-    let mode_by = |name: &str| modes.iter().find(|m| m.name == name).unwrap();
-    let bitset_mode = mode_by("sequential-interned");
-    let hash_mode = mode_by("sequential-interned-hash");
-    writeln!(json, "    \"hash_table_allocations\": {},", hash_mode.allocations).unwrap();
-    writeln!(json, "    \"bitset_table_allocations\": {},", bitset_mode.allocations).unwrap();
-    writeln!(
-        json,
-        "    \"bitset_strictly_fewer_allocations\": {},",
-        bitset_mode.allocations < hash_mode.allocations
-    )
-    .unwrap();
-    writeln!(json, "    \"hash_table_dataflow_ms\": {:.3},", hash_mode.dataflow_ms).unwrap();
-    writeln!(json, "    \"bitset_table_dataflow_ms\": {:.3},", bitset_mode.dataflow_ms).unwrap();
+    let mode_of = |name: &str| modes.iter().find(|m| m.name == name).unwrap();
+    let sequential_df = mode_of("sequential-interned").dataflow_ms;
+    writeln!(json, "    \"sequential_dataflow_ms\": {sequential_df:.3},").unwrap();
     writeln!(json, "    \"speedup_2t\": {:.3},", speedup("parallel-2")).unwrap();
     writeln!(json, "    \"speedup_4t\": {:.3},", speedup("parallel-4")).unwrap();
     writeln!(json, "    \"speedup_8t\": {:.3},", speedup("parallel-8")).unwrap();
-    let dataflow_of = |name: &str| modes.iter().find(|m| m.name == name).unwrap().dataflow_ms;
-    let seq_df = dataflow_of("sequential-interned");
-    let taint_1t_df = dataflow_of("parallel-taint-1");
-    let taint_speedup = |name: &str| {
-        let w = dataflow_of(name);
-        if w > 0.0 {
-            taint_1t_df / w
-        } else {
-            0.0
-        }
-    };
-    writeln!(json, "    \"taint_1t_dataflow_ms\": {taint_1t_df:.3},").unwrap();
-    writeln!(json, "    \"sequential_dataflow_ms\": {seq_df:.3},").unwrap();
-    writeln!(
-        json,
-        "    \"taint_1t_vs_sequential\": {:.3},",
-        if seq_df > 0.0 { taint_1t_df / seq_df } else { 0.0 }
-    )
-    .unwrap();
-    writeln!(json, "    \"taint_speedup_2t\": {:.3},", taint_speedup("parallel-taint-2")).unwrap();
-    writeln!(json, "    \"taint_speedup_4t\": {:.3},", taint_speedup("parallel-taint-4")).unwrap();
-    writeln!(json, "    \"taint_speedup_8t\": {:.3},", taint_speedup("parallel-taint-8")).unwrap();
-    let mode_of = |name: &str| modes.iter().find(|m| m.name == name).unwrap();
     let (cold, warm) = (mode_of("cache-cold"), mode_of("cache-warm"));
     let cold_edges = cold.forward_propagations + cold.backward_propagations;
     let warm_edges = warm.forward_propagations + warm.backward_propagations;
@@ -524,31 +422,6 @@ fn run_full(out_path: &str) {
         );
         std::process::exit(1);
     }
-    // Since access-path field sequences moved into the global arena,
-    // whole-fact keys are `Copy` and the direct mode no longer pays
-    // per-propagation allocations — fact interning is now about compact
-    // `u32` table keys, not allocation avoidance. Guard against the
-    // interner itself becoming an allocation burden instead.
-    if interned_allocs as f64 > direct_allocs as f64 * 1.05 {
-        eprintln!(
-            "FAIL: interned mode allocates >5% more than direct ({interned_allocs} vs {direct_allocs})"
-        );
-        std::process::exit(1);
-    }
-    // Bitset rows replace the per-(statement, fact) hash sets; if they
-    // ever stop being strictly cheaper than the hash-map tables the
-    // representation has regressed.
-    let (bitset_allocs, hash_allocs) = {
-        let get = |name: &str| modes.iter().find(|m| m.name == name).unwrap().allocations;
-        (get("sequential-interned"), get("sequential-interned-hash"))
-    };
-    if bitset_allocs >= hash_allocs {
-        eprintln!(
-            "FAIL: bitset tables allocate no less than hash-map tables \
-             ({bitset_allocs} vs {hash_allocs})"
-        );
-        std::process::exit(1);
-    }
 }
 
 /// Benchmarks the daemon: binds it in-process on an ephemeral port,
@@ -591,7 +464,7 @@ fn run_service(out_path: &str) {
         let mut pending = Vec::new();
         for name in &names {
             let mut c = Client::connect(&addr).expect("connect");
-            c.analyze_async(name, None, None, None).expect("submit");
+            c.analyze_async(name, None, None).expect("submit");
             pending.push((name.clone(), c));
         }
         pending
@@ -1066,7 +939,7 @@ fn run_service_load(out_path: &str) {
 
     // ---- Phase S: streaming identity across the corpus ----
     eprintln!(
-        "service-load: streaming identity across {} apps at 1 and 4 taint threads ...",
+        "service-load: streaming identity across {} apps ...",
         names.len()
     );
     let (addr, h) = bind(2, 0, None);
@@ -1083,30 +956,22 @@ fn run_service_load(out_path: &str) {
             AnalyzeOutcome::Rejected { .. } => panic!("unbounded queue must not reject"),
             AnalyzeOutcome::Denied { .. } => panic!("corpus names never hit the path policy"),
         };
-        for threads in [1u64, 4] {
-            let opts = AnalyzeOptions {
-                stream: true,
-                taint_threads: Some(threads),
-                ..Default::default()
-            };
-            let streamed = match c
-                .analyze_with(name, &opts, &mut |frame| match frame.str_field("type") {
-                    Some("progress") => progress_frames += 1,
-                    Some("leak") => leak_frames += 1,
-                    other => panic!("unexpected frame type {other:?}"),
-                })
-                .expect("streamed job")
-            {
-                AnalyzeOutcome::Done { result, .. } => result,
-                AnalyzeOutcome::Rejected { .. } => panic!("unbounded queue must not reject"),
+        let opts = AnalyzeOptions { stream: true, ..Default::default() };
+        let streamed = match c
+            .analyze_with(name, &opts, &mut |frame| match frame.str_field("type") {
+                Some("progress") => progress_frames += 1,
+                Some("leak") => leak_frames += 1,
+                other => panic!("unexpected frame type {other:?}"),
+            })
+            .expect("streamed job")
+        {
+            AnalyzeOutcome::Done { result, .. } => result,
+            AnalyzeOutcome::Rejected { .. } => panic!("unbounded queue must not reject"),
             AnalyzeOutcome::Denied { .. } => panic!("corpus names never hit the path policy"),
-            };
-            if streamed.report != baseline.report {
-                stream_divergences += 1;
-                eprintln!(
-                    "service-load: STREAM DIVERGENCE on {name} at {threads} taint thread(s)"
-                );
-            }
+        };
+        if streamed.report != baseline.report {
+            stream_divergences += 1;
+            eprintln!("service-load: STREAM DIVERGENCE on {name}");
         }
     }
     drop(c);
@@ -1115,7 +980,7 @@ fn run_service_load(out_path: &str) {
     eprintln!(
         "service-load: {} streamed runs, {progress_frames} progress + {leak_frames} leak \
          frames, {stream_divergences} divergence(s)",
-        names.len() * 2
+        names.len()
     );
 
     // ---- Emit the section and enforce the gates ----
@@ -1168,7 +1033,7 @@ fn run_service_load(out_path: &str) {
     writeln!(section, "    }},").unwrap();
     writeln!(section, "    \"streaming\": {{").unwrap();
     writeln!(section, "      \"apps\": {},", names.len()).unwrap();
-    writeln!(section, "      \"streamed_runs\": {},", names.len() * 2).unwrap();
+    writeln!(section, "      \"streamed_runs\": {},", names.len()).unwrap();
     writeln!(section, "      \"progress_frames\": {progress_frames},").unwrap();
     writeln!(section, "      \"leak_frames\": {leak_frames},").unwrap();
     writeln!(section, "      \"divergences\": {stream_divergences},").unwrap();
@@ -1303,7 +1168,7 @@ fn run_ground_truth(out_path: &str) {
     let mut daemon_mismatches = 0usize;
     for (app, path) in &rpks {
         let (_, result) =
-            c.analyze(path.to_str().unwrap(), None, None, None).expect("external job");
+            c.analyze(path.to_str().unwrap(), None, None).expect("external job");
         let local = run_single(&app.job(), &InfoflowConfig::default());
         if result.leaks as usize != app.expected_reported
             || leak_lines(&result.report) != leak_lines(&local.report)

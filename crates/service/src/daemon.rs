@@ -30,8 +30,7 @@
 //!   connection;
 //! * `analyze` requests enqueue on a bounded three-lane **priority
 //!   queue** (`high`/`normal`/`batch`) consumed by `workers` pool
-//!   threads (each job runs to completion on one worker; the job's own
-//!   solver may use further threads via `taint_threads`). Workers
+//!   threads (each job runs to completion on one worker). Workers
 //!   dequeue high before normal before batch, but after
 //!   [`AGING_STREAK`] consecutive non-batch picks a waiting batch job
 //!   is served first, so saturating interactive traffic cannot starve
@@ -208,7 +207,6 @@ impl JobState {
 #[derive(Clone, Debug, Default)]
 struct JobSpec {
     max_propagations: u64,
-    taint_threads: usize,
     priority: Priority,
     namespace: String,
 }
@@ -253,10 +251,6 @@ struct Totals {
     platform_clone_us: u64,
     callgraph_cache_hits: u64,
     callgraph_cache_misses: u64,
-    /// Scheduler counters summed over completed parallel jobs.
-    sched_pushed: u64,
-    sched_claims: u64,
-    sched_steals: u64,
 }
 
 impl Totals {
@@ -454,7 +448,6 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
         let progress = e.progress.take();
         (e.abort.clone(), e.spec.clone(), e.app.clone(), e.queue_ms, progress, e.reply.take(), skip)
     };
-    let mut sched = None;
     let result = if skip {
         drop(progress);
         JobResult {
@@ -468,11 +461,10 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
     } else {
         let mut config = InfoflowConfig::default().with_abort(abort).with_lazy_frontend(true);
         config.max_propagations = spec.max_propagations;
-        config.taint_threads = spec.taint_threads;
         config.cache_namespace = spec.namespace;
         config.progress = progress;
         config.summary_cache.clone_from(&shared.summary_cache);
-        let mut run = run_single_lazy(job, &config, &shared.snapshot, Some(&shared.cg_cache));
+        let run = run_single_lazy(job, &config, &shared.snapshot, Some(&shared.cg_cache));
         if !run.aborted {
             if let Some(dir) = &shared.summary_cache {
                 // Promote this job's staged summaries so the *next* job
@@ -481,7 +473,6 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
                 let _ = flush_summary_cache(dir);
             }
         }
-        sched = run.scheduler.take();
         let sc = run.summary_cache.as_ref();
         JobResult {
             job: id,
@@ -508,11 +499,6 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
         }
     };
     let mut inner = shared.inner.lock().unwrap();
-    if let Some(s) = sched {
-        inner.totals.sched_pushed += s.pushed;
-        inner.totals.sched_claims += s.claims;
-        inner.totals.sched_steals += s.steals;
-    }
     // Retire the job: the table keeps only its stats line, and only
     // while it is among the last few finished.
     let entry = inner.live.remove(&id).expect("a running job is in the job table");
@@ -609,12 +595,11 @@ fn handle_analyze(
 ) -> io::Result<()> {
     let spec = JobSpec {
         max_propagations: req.max_propagations.unwrap_or(0),
-        taint_threads: req.taint_threads.unwrap_or(0) as usize,
         priority: req.priority,
         namespace: req.namespace.clone(),
     };
-    // A streamed job gets a channel-backed sink: the solver's threads
-    // send events, this connection thread relays them as frames.
+    // A streamed job gets a channel-backed sink: the job's worker
+    // sends events, this connection thread relays them as frames.
     let (progress, frames) = if req.stream {
         let (tx, rx) = mpsc::channel::<ProgressEvent>();
         let tx = Mutex::new(tx);
@@ -892,9 +877,6 @@ fn stats(shared: &Shared) -> Json {
         ("callgraph_cache_evictions", Json::from(cache.evictions)),
         ("callgraph_cache_invalidations", Json::from(cache.invalidations)),
         ("callgraph_cache_entries", Json::from(cache.entries as u64)),
-        ("sched_pushed", Json::from(t.sched_pushed)),
-        ("sched_claims", Json::from(t.sched_claims)),
-        ("sched_steals", Json::from(t.sched_steals)),
     ];
     if let Some(tiers) = store_tiers {
         top.push(("store_tiers", tiers));

@@ -6,8 +6,8 @@
 //! under the `--allow-apps` path policy.
 
 use flowdroid_service::{
-    AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, Listen,
-    Priority, Request, Submitted,
+    AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, JobResult,
+    Listen, Priority, Request, Submitted,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -72,14 +72,14 @@ fn cold_then_warm_job_shares_summary_cache() {
     let (addr, daemon) = spawn_daemon(Some(cache.clone()));
     let mut c = Client::connect(&addr).expect("connect");
 
-    let (id1, cold) = c.analyze("insecurebank", None, None, None).expect("cold job");
+    let (id1, cold) = c.analyze("insecurebank", None, None).expect("cold job");
     assert_eq!(id1, 1);
     assert!(!cold.aborted);
     assert_eq!(cold.summary_hits, 0, "first job starts with an empty store");
     assert!(cold.summary_recorded > 0, "first job stages summaries");
     assert!(cold.leaks > 0, "insecurebank has known leaks");
 
-    let (_, warm) = c.analyze("insecurebank", None, None, None).expect("warm job");
+    let (_, warm) = c.analyze("insecurebank", None, None).expect("warm job");
     assert!(!warm.aborted);
     assert!(warm.summary_hits > 0, "second job replays the first job's flushed summaries");
     assert_eq!(warm.report, cold.report, "cache replay must not change the report");
@@ -111,7 +111,7 @@ fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
     let (addr, daemon) = spawn_daemon_with(None, Some(snap.clone()));
     let mut c = Client::connect(&addr).expect("connect");
 
-    let (_, r) = c.analyze("insecurebank", None, None, None).expect("job");
+    let (_, r) = c.analyze("insecurebank", None, None).expect("job");
     assert!(!r.aborted);
     assert!(r.bodies_materialized > 0, "the lazy frontend decodes reached bodies");
 
@@ -124,7 +124,7 @@ fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
     // An app with helper classes the callgraph never reaches: those
     // bodies must stay undecoded.
     let (_, r2) =
-        c.analyze("securibench/Collections/Collections5", None, None, None).expect("job 2");
+        c.analyze("securibench/Collections/Collections5", None, None).expect("job 2");
     assert!(!r2.aborted);
     assert!(r2.bodies_skipped > 0, "unreachable bodies stay undecoded");
 
@@ -151,7 +151,7 @@ fn corrupt_snapshot_falls_back_to_eager_platform_build() {
     // with unchanged results.
     let (addr, daemon) = spawn_daemon_with(None, Some(snap.clone()));
     let mut c = Client::connect(&addr).expect("connect");
-    let (_, r) = c.analyze("insecurebank", None, None, None).expect("job");
+    let (_, r) = c.analyze("insecurebank", None, None).expect("job");
     assert!(!r.aborted);
     assert!(r.leaks > 0);
 
@@ -170,7 +170,7 @@ fn deadline_job_aborts_promptly_and_stages_nothing() {
     let mut c = Client::connect(&addr).expect("connect");
 
     let start = Instant::now();
-    let (_, r) = c.analyze("stress/4000", Some(300), None, None).expect("deadline job");
+    let (_, r) = c.analyze("stress/4000", Some(300), None).expect("deadline job");
     let elapsed = start.elapsed();
     assert!(r.aborted, "stress/4000 cannot finish in 300ms");
     assert_eq!(r.abort_reason.as_deref(), Some("deadline"));
@@ -182,7 +182,7 @@ fn deadline_job_aborts_promptly_and_stages_nothing() {
     );
 
     // The poison check: a later *successful* job still flushes cleanly.
-    let (_, ok) = c.analyze("insecurebank", None, None, None).expect("follow-up job");
+    let (_, ok) = c.analyze("insecurebank", None, None).expect("follow-up job");
     assert!(!ok.aborted);
     assert!(ok.summary_recorded > 0);
 
@@ -195,7 +195,7 @@ fn deadline_job_aborts_promptly_and_stages_nothing() {
 fn cancel_from_second_connection_stops_inflight_job() {
     let (addr, daemon) = spawn_daemon(None);
     let mut a = Client::connect(&addr).expect("connection a");
-    let id = a.analyze_async("stress/6000", None, None, None).expect("submit");
+    let id = a.analyze_async("stress/6000", None, None).expect("submit");
 
     // From a second connection: wait until the job is running, then
     // cancel it.
@@ -228,9 +228,9 @@ fn cancelling_a_queued_job_skips_it_entirely() {
     let mut a = Client::connect(&addr).expect("a");
     let mut b = Client::connect(&addr).expect("b");
     let mut c = Client::connect(&addr).expect("c");
-    let _j1 = a.analyze_async("stress/6000", None, None, None).expect("submit 1");
-    let _j2 = b.analyze_async("stress/6000", None, None, None).expect("submit 2");
-    let j3 = c.analyze_async("stress/2000", None, None, None).expect("submit 3");
+    let _j1 = a.analyze_async("stress/6000", None, None).expect("submit 1");
+    let _j2 = b.analyze_async("stress/6000", None, None).expect("submit 2");
+    let j3 = c.analyze_async("stress/2000", None, None).expect("submit 3");
 
     let mut ctl = Client::connect(&addr).expect("control");
     ctl.cancel(j3).expect("cancel queued job");
@@ -271,7 +271,7 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
     // A job long enough that its ~3s deadline, not its fixpoint, ends
     // it: the socket must vanish well before the job does.
     let mut a = Client::connect(&addr).expect("connection a");
-    let id = a.analyze_async("stress/6000", Some(3000), None, None).expect("submit");
+    let id = a.analyze_async("stress/6000", Some(3000), None).expect("submit");
 
     let mut b = Client::connect(&addr).expect("connection b");
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -326,7 +326,7 @@ fn protocol_errors_keep_the_connection_alive() {
 fn budget_abort_reports_reason_over_the_wire() {
     let (addr, daemon) = spawn_daemon(None);
     let mut c = Client::connect(&addr).expect("connect");
-    let (_, r) = c.analyze("stress/2000", None, Some(1000), None).expect("budget job");
+    let (_, r) = c.analyze("stress/2000", None, Some(1000)).expect("budget job");
     assert!(r.aborted);
     assert_eq!(r.abort_reason.as_deref(), Some("budget"));
     c.shutdown().expect("shutdown");
@@ -341,7 +341,7 @@ fn streamed_job_emits_frames_and_identical_final_report() {
     let (addr, daemon) = spawn_daemon(None);
 
     let mut plain = Client::connect(&addr).expect("connect plain");
-    let (_, baseline) = plain.analyze("insecurebank", None, None, None).expect("plain job");
+    let (_, baseline) = plain.analyze("insecurebank", None, None).expect("plain job");
     assert!(baseline.leaks > 0, "insecurebank has known leaks");
 
     let mut streamed = Client::connect(&addr).expect("connect streamed");
@@ -372,16 +372,34 @@ fn streamed_job_emits_frames_and_identical_final_report() {
     assert_eq!(result.report, baseline.report, "streaming must not change the report");
     assert_eq!(result.leaks, baseline.leaks);
 
-    // The parallel engine streams through the same hook; its report
-    // stays identical too (determinism invariant).
-    let mut par = Client::connect(&addr).expect("connect parallel");
-    let par_opts =
-        AnalyzeOptions { stream: true, taint_threads: Some(2), ..Default::default() };
-    let outcome = par.analyze_with("insecurebank", &par_opts, &mut |_| {}).expect("par job");
-    let AnalyzeOutcome::Done { result: par_result, .. } = outcome else {
-        panic!("unbounded queue must not reject");
-    };
-    assert_eq!(par_result.report, baseline.report, "parallel streamed report must match");
+    plain.shutdown().expect("shutdown");
+    daemon.join().expect("accept loop exits cleanly");
+}
+
+/// A request line from an older client that still carries
+/// `taint_threads` is accepted: the key is ignored, and the job runs on
+/// the one solver and reports exactly what a plain request reports.
+#[test]
+fn legacy_thread_count_request_runs_like_a_plain_one() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, daemon) = spawn_daemon(None);
+
+    let mut plain = Client::connect(&addr).expect("connect plain");
+    let (_, baseline) = plain.analyze("insecurebank", None, None).expect("plain job");
+
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect raw");
+    conn.write_all(b"{\"type\":\"analyze\",\"app\":\"insecurebank\",\"taint_threads\":4}\n")
+        .expect("send legacy line");
+    let mut lines = BufReader::new(conn).lines();
+    let queued = lines.next().expect("queued line").expect("read");
+    let queued = flowdroid_service::json::parse(&queued).expect("queued json");
+    assert_eq!(queued.str_field("type"), Some("queued"), "legacy request must be admitted");
+    let result = lines.next().expect("result line").expect("read");
+    let result = flowdroid_service::json::parse(&result).expect("result json");
+    assert_eq!(result.str_field("type"), Some("result"));
+    let result = JobResult::from_json(&result).expect("well-formed result");
+    assert!(!result.aborted);
+    assert_eq!(result.report, baseline.report, "legacy request changed the report");
 
     plain.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");
@@ -491,15 +509,23 @@ fn cancel_storm_drains_cleanly_with_reconciled_counters() {
 }
 
 /// With one worker pinned by a long job, a later `high` submission must
-/// finish before an earlier `batch` one: the dequeue order follows the
+/// start before an earlier `batch` one: the dequeue order follows the
 /// priority lanes, not arrival order.
+///
+/// The order is read from the daemon's own `queue_ms`, not from client
+/// clocks. Neither queued job has a deadline, and each runs for tens of
+/// milliseconds, so whichever starts second waits at least the other's
+/// run time longer. Priority order gives high the shorter wait even
+/// though batch arrived first; a FIFO queue gives batch the shorter one.
 #[test]
 fn high_priority_overtakes_batch_in_the_queue() {
+    /// A queued job that runs for tens of milliseconds.
+    const QUEUED_APP: &str = "stress/200";
     let (addr, daemon) = spawn_daemon_capped(None, None, 1, 0);
 
     // Pin the only worker.
     let mut pin = Client::connect(&addr).expect("pin conn");
-    let pin_id = pin.analyze_async("stress/5000", Some(2500), None, None).expect("pin");
+    let pin_id = pin.analyze_async("stress/5000", Some(2500), None).expect("pin");
 
     // Wait until it is actually running so the next two stay queued.
     let mut s = Client::connect(&addr).expect("stats conn");
@@ -513,38 +539,33 @@ fn high_priority_overtakes_batch_in_the_queue() {
     }
 
     // Batch first, high second — arrival order favors batch.
-    let mut batch = Client::connect(&addr).expect("batch conn");
-    let batch_opts = AnalyzeOptions {
-        deadline_ms: Some(2000),
-        priority: Priority::Batch,
-        ..Default::default()
+    let submit = |priority: Priority| {
+        let mut c = Client::connect(&addr).expect("connect");
+        let opts = AnalyzeOptions { priority, ..Default::default() };
+        let Submitted::Queued(id) = c.submit(QUEUED_APP, &opts).expect("submit") else {
+            panic!("an unbounded queue admits every job");
+        };
+        (id, c)
     };
-    assert!(matches!(
-        batch.submit("stress/2000", &batch_opts).expect("submit batch"),
-        Submitted::Queued(_)
-    ));
-    let mut high = Client::connect(&addr).expect("high conn");
-    let high_opts = AnalyzeOptions {
-        deadline_ms: Some(2000),
-        priority: Priority::High,
-        ..Default::default()
-    };
-    assert!(matches!(
-        high.submit("stress/2000", &high_opts).expect("submit high"),
-        Submitted::Queued(_)
-    ));
+    let (batch_id, mut batch) = submit(Priority::Batch);
+    let (high_id, mut high) = submit(Priority::High);
+    assert!(batch_id < high_id, "batch was submitted first");
+    let pin_state = job_state(&mut s, pin_id);
+    assert_eq!(pin_state.as_deref(), Some("running"), "both jobs queued behind the pin");
 
-    let batch_done = std::thread::spawn(move || {
-        batch.read_response().expect("batch result");
-        Instant::now()
-    });
-    let high_done = std::thread::spawn(move || {
-        high.read_response().expect("high result");
-        Instant::now()
-    });
-    let batch_at = batch_done.join().expect("batch thread");
-    let high_at = high_done.join().expect("high thread");
-    assert!(high_at < batch_at, "high must complete before the earlier batch job");
+    let result = |c: &mut Client| {
+        let line = c.read_response().expect("result line");
+        JobResult::from_json(&line).expect("well-formed result")
+    };
+    let batch = result(&mut batch);
+    let high = result(&mut high);
+    assert!(!batch.aborted && !high.aborted, "queued jobs have no deadline");
+    assert!(
+        high.queue_ms < batch.queue_ms,
+        "high waited {} ms, batch {} ms: high must start before the earlier batch job",
+        high.queue_ms,
+        batch.queue_ms
+    );
 
     pin.read_response().expect("pin result");
     s.shutdown().expect("shutdown");
@@ -634,7 +655,7 @@ fn daemon_serves_external_apps_under_path_policy() {
     let mut scratch = flowdroid_bench::shared_platform_snapshot().overlay_program();
     for path in [app_dir.clone(), root.join("field.rpk")] {
         let (_, result) =
-            c.analyze(path.to_str().unwrap(), None, None, None).expect("external job");
+            c.analyze(path.to_str().unwrap(), None, None).expect("external job");
         assert!(!result.aborted);
         let job = flowdroid_service::load_external_job(&path, &mut scratch)
             .expect("local load");
@@ -643,14 +664,14 @@ fn daemon_serves_external_apps_under_path_policy() {
     }
     // The generated app's manifest pins what the daemon must report.
     let (_, r) = c
-        .analyze(root.join("field.rpk").to_str().unwrap(), None, None, None)
+        .analyze(root.join("field.rpk").to_str().unwrap(), None, None)
         .expect("rpk job");
     assert_eq!(r.leaks as usize, field.expected_reported);
 
     // A well-placed but malformed archive is an error, not a denial.
     std::fs::write(root.join("junk.rpk"), b"not an archive").unwrap();
     let err = c
-        .analyze(root.join("junk.rpk").to_str().unwrap(), None, None, None)
+        .analyze(root.join("junk.rpk").to_str().unwrap(), None, None)
         .expect_err("junk archive");
     assert!(err.to_string().contains("cannot load app"), "got: {err}");
 
@@ -677,7 +698,7 @@ fn daemon_without_allow_apps_denies_all_paths() {
     };
     assert!(message.contains("--allow-apps"), "got: {message}");
     // Corpus jobs still work on the same connection.
-    let (_, r) = c.analyze("droidbench/Callbacks/Button1", None, None, None).expect("corpus job");
+    let (_, r) = c.analyze("droidbench/Callbacks/Button1", None, None).expect("corpus job");
     assert_eq!(r.leaks, 1);
     c.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");

@@ -91,7 +91,7 @@ fn long_soak_keeps_stats_and_job_table_bounded() {
                     } else {
                         (corpus[n % corpus.len()].as_str(), None)
                     };
-                    let (_, result) = c.analyze(app, None, None, None).expect("job result");
+                    let (_, result) = c.analyze(app, None, None).expect("job result");
                     assert!(!result.aborted, "{app} aborted");
                     if let Some(leaks) = expected {
                         assert_eq!(result.leaks, leaks, "{app}");
@@ -158,7 +158,7 @@ fn retired_jobs_leave_stats_flat_and_cancel_as_done() {
     let mut sizes = Vec::new();
     for _ in 0..2 {
         for _ in 0..100 {
-            c.analyze("stress/20", None, None, None).expect("job");
+            c.analyze("stress/20", None, None).expect("job");
         }
         sizes.push(stats_size(&mut c));
     }

@@ -3,15 +3,12 @@
 //! the reference engine's per-app leak counts are scored against the
 //! ground-truth manifests.
 //!
-//! The matrix covers the axes grown over the repo's history:
+//! There is one taint engine; the matrix covers the frontend and cache
+//! paths that feed it:
 //!
 //! | engine            | configuration                                  |
 //! |-------------------|------------------------------------------------|
-//! | `seq-bitset`      | sequential, interned ids, bitset tables (ref)  |
-//! | `seq-hash`        | sequential, interned ids, hash-map tables      |
-//! | `seq-direct`      | sequential, whole-fact keys (no interning)     |
-//! | `par-taint-1`     | work-stealing parallel solver, 1 worker        |
-//! | `par-taint-4`     | work-stealing parallel solver, 4 workers       |
+//! | `seq-bitset`      | eager frontend, no caches (reference)          |
 //! | `lazy`            | demand-driven frontend (snapshot + lazy SDEX)  |
 //! | `lazy-cg-warm`    | lazy + warm daemon-style callgraph cache       |
 //! | `cache-cold`      | persistent summary store, populating pass      |
@@ -125,22 +122,6 @@ pub fn run_differential(apps: &[TruthApp], cache_dir: &Path) -> Differential {
 
     let reference = run_corpus(&jobs, &InfoflowConfig::default(), 1);
     engines.push(outcome("seq-bitset", &reference));
-    engines.push(outcome(
-        "seq-hash",
-        &run_corpus(&jobs, &InfoflowConfig::default().with_bitset_tables(false), 1),
-    ));
-    engines.push(outcome(
-        "seq-direct",
-        &run_corpus(&jobs, &InfoflowConfig::default().with_fact_interning(false), 1),
-    ));
-    engines.push(outcome(
-        "par-taint-1",
-        &run_corpus(&jobs, &InfoflowConfig::default().with_taint_threads(1), 1),
-    ));
-    engines.push(outcome(
-        "par-taint-4",
-        &run_corpus(&jobs, &InfoflowConfig::default().with_taint_threads(4), 1),
-    ));
     engines.push(outcome(
         "lazy",
         &run_corpus(&jobs, &InfoflowConfig::default().with_lazy_frontend(true), 1),

@@ -13,6 +13,11 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
+# The repository benchmark is a package of its own that calls the
+# crates' public items; a core API change that breaks it fails here.
+echo "== benchmark package builds against the crates"
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 if [[ "${1:-}" == "--full" ]]; then
     echo "== full workspace test suite"
     cargo test --workspace -q
@@ -173,9 +178,9 @@ if ! grep -q '"namespace_cold_hits": 0' BENCH_solver.json; then
 fi
 
 # Ground-truth harness: generate the seeded synthetic corpus, sweep the
-# full engine matrix (sequential/parallel x hash/bitset x eager/lazy x
-# cold/warm caches, at 1 and 4 taint threads) and serve the packed
-# archives through a daemon under the --allow-apps policy. The binary
+# engine matrix (the one taint solver behind eager/lazy frontends, a
+# warm callgraph cache and cold/warm summary caches) and serve the
+# packed archives through a daemon under the --allow-apps policy. The binary
 # gates byte-identical reports, manifest agreement, the k-limit probe
 # and the daemon leg itself; the checks below re-read the headline
 # fields from the spliced JSON.

@@ -122,6 +122,19 @@ fn analyze_honors_custom_sources_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The solver has one engine, so there is no thread-count flag to pick
+/// another: `--taint-threads` is an unknown option like any other.
+#[test]
+fn analyze_rejects_thread_count_flag() {
+    let dir = temp_dir("threads-flag");
+    make_app(&dir, CLEAN_CODE);
+    let out = bin().args(["analyze"]).arg(&dir).args(["--taint-threads", "2"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option `--taint-threads`"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_arguments_fail_cleanly() {
     let out = bin().args(["analyze"]).output().unwrap();
